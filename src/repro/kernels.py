@@ -374,13 +374,14 @@ class MemoizedCodec:
     state (and recreated on unpickle) so codecs still ride into fork-pool
     workers.
 
-    The ``has_*``/``seed_*`` methods are the batch-warming surface the
-    service shards use: ``seed_encode(block, encoded)`` inserts an entry
-    computed elsewhere (by :class:`BatchCodec`, over a whole batch) and
-    counts it as a miss — it *is* a computed entry, exactly what a serial
-    scalar first encounter would have produced — after which the
-    in-place operation hits.  Seeding a present key is a no-op, so
-    counters stay consistent however callers interleave.
+    The ``peek_*``/``seed_*`` methods are the batch-warming surface; the
+    service shard's WAL replay is their only user.  Replay feeds a whole
+    journal through :class:`BatchCodec` in one array pass and seeds the
+    results: ``seed_encode(block, encoded)`` inserts an entry computed
+    elsewhere and counts it as a miss — it *is* a computed entry, exactly
+    what a serial scalar first encounter would have produced — after
+    which the in-place operation hits.  Seeding a present key is a no-op
+    and peeks never touch the counters.
     """
 
     def __init__(
@@ -465,10 +466,6 @@ class MemoizedCodec:
             self._evict_if_full(cache)
             cache[key] = value
 
-    def _has(self, cache: Dict[bytes, object], block: bytes) -> bool:
-        with self._lock:
-            return bytes(block) in cache
-
     def _peek(self, cache: Dict[bytes, object], block: bytes) -> object:
         with self._lock:
             return cache.get(bytes(block))
@@ -488,26 +485,13 @@ class MemoizedCodec:
         """Alias check through the shared codeword-count cache."""
         return self.codeword_count(block) >= self.config.codeword_threshold
 
-    # -- batch-warming surface (service shards; see docs/kernels.md) --------
-
-    def has_encode(self, block: bytes) -> bool:
-        """Is this content's encode result already cached (no counters)?"""
-        return self._has(self._encode_cache, block)  # type: ignore[arg-type]
-
-    def has_decode(self, stored: bytes) -> bool:
-        """Is this stored image's decode result already cached?"""
-        return self._has(self._decode_cache, stored)  # type: ignore[arg-type]
-
-    def has_count(self, stored: bytes) -> bool:
-        """Is this content's codeword count already cached?"""
-        return self._has(self._count_cache, stored)  # type: ignore[arg-type]
+    # -- batch-warming surface (service WAL replay; see docs/kernels.md) ----
 
     def peek_encode(self, block: bytes) -> Optional[EncodedBlock]:
         """Cached encode result, or ``None`` — never touches the counters.
 
-        The batch-prewarm path uses peeks to decide what to seed and to
-        simulate controller state within a batch; a peek must not count
-        as a hit or the hit totals would depend on batch boundaries.
+        WAL replay peeks to decide what to seed; a peek must not count as
+        a hit or the hit totals would depend on what was seeded.
         """
         return self._peek(self._encode_cache, block)  # type: ignore[arg-type,return-value]
 

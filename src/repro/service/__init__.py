@@ -15,7 +15,7 @@ service-layer faults (worker kills, delays, connection drops) to prove
 all of it under load.
 
 * :mod:`repro.service.protocol` — requests, typed response statuses, wire format
-* :mod:`repro.service.shard` — single-owner shard workers + batch prewarm
+* :mod:`repro.service.shard` — single-owner shard workers + micro-batch drain
 * :mod:`repro.service.wal` — per-shard durable write-ahead log (COPW1)
 * :mod:`repro.service.supervisor` — crash detection + recovery loop
 * :mod:`repro.service.chaos` — deterministic service-layer fault injection

@@ -23,8 +23,9 @@ schedule serially, one request per batch, on a fresh replica
 (:meth:`~repro.service.shard.Shard.process_serially`).
 
 The memo-counter half of the contract additionally requires that the
-memo never evicts (seeding is counted as a miss exactly once per
-distinct content; an eviction would re-count it).  The verifier asserts
+memo never evicts (a distinct content misses exactly once; an eviction
+would make its next lookup miss again, and where that happens depends
+on the interleaving).  The verifier asserts
 ``kernels.memo.evictions == 0`` — size ``content_versions`` /
 ``blocks_per_tenant`` below the memo capacity if you grow the config.
 

@@ -1,8 +1,7 @@
 """One shard of the COP service: a single-owner worker over a bounded queue.
 
 Each shard owns a :class:`~repro.core.controller.ProtectedMemory` (and,
-through it, a :class:`~repro.kernels.MemoizedCodec`), a
-:class:`~repro.kernels.BatchCodec` for batch prewarming, and a private
+through it, a :class:`~repro.kernels.MemoizedCodec`) and a private
 :class:`~repro.obs.metrics.MetricsRegistry`.  All controller state is
 touched by exactly one worker thread; callers only interact with the
 bounded request queue, so the controller itself needs no locking.
@@ -10,32 +9,20 @@ bounded request queue, so the controller itself needs no locking.
 Micro-batching
 --------------
 
-The worker drains up to ``batch_max`` queued requests at a time and runs
-a *prewarm* pass before executing them one by one: every codec result
-the batch will need (encodes for writes, codeword counts for the alias
-checks those writes trigger, decodes for reads) is computed in one
-``BatchCodec`` array pass and seeded into the shard's ``MemoizedCodec``.
-Execution then services each request in arrival order through the plain
-scalar library path — and hits the memo on every codec call.
+The worker drains up to ``batch_max`` queued requests at a time and
+executes them one by one, in arrival order, through the plain scalar
+library path: ``ProtectedMemory`` -> ``MemoizedCodec`` -> ``COPCodec``.
+Batching amortises the WAL group commit (one fdatasync per drain);
+execution never looks ahead in the batch, so every memo hit or miss is
+exactly one codec call and the counters do not depend on where batch
+boundaries fall.  Replaying
+the same per-shard request sequence one request at a time produces the
+same hits, misses, contents and controller stats — the invariant the
+parity suite checks (threaded daemon vs. serial replay).  It holds
+provided the memo never evicts — size the memo above the working set
+(the load generator asserts ``kernels.memo.evictions == 0``).
 
-Seeding counts a memo miss (see ``MemoizedCodec`` in docs/kernels.md),
-so the counters are independent of where batch boundaries fall: misses
-equal the number of distinct contents, hits equal the number of codec
-calls, exactly what replaying the same per-shard request sequence one
-request at a time produces.  This is the invariant the parity suite
-checks (threaded daemon vs. serial replay), and it holds provided the
-memo never evicts — size the memo above the working set (the load
-generator asserts ``kernels.memo.evictions == 0``).
-
-Prewarm simulates the batch's writes on a content overlay so that a read
-of an address written *earlier in the same batch* still prewarms against
-the exact stored image that write will install (including alias-rejected
-writes, which install nothing).
-
-Prewarm runs only in ``COP`` mode.  The other codec-backed modes
-(COP-ER, MemZip) execute scalar through the memo — still correct, and
-still batch-boundary independent, just not vectorised.  COP-ER is
-additionally excluded from the cross-thread parity contract because its
+COP-ER is excluded from the cross-thread parity contract because its
 ECC-region entry indices depend on the global allocation order, which
 thread interleaving perturbs (docs/service.md).
 
@@ -57,13 +44,12 @@ restarts the worker.  Requests arriving mid-recovery are answered
 Three more shedding mechanisms keep the shard honest under pressure:
 requests whose ``deadline_ms`` elapsed in the queue are shed *before*
 execution (``DEADLINE_EXCEEDED``); a breaker past a queue-depth or
-consecutive-error threshold sheds optional work — prewarm off,
-``encode``/``decode`` answered ``OVERLOADED`` — while writes and reads
-keep flowing; and when the WAL or chaos is active an exactly-once
-response cache (keyed by request id) answers duplicate deliveries from
-client retries with the *original* outcome instead of re-executing,
-which keeps pipelined suffix-replay byte-identical to the serial
-schedule.
+consecutive-error threshold sheds optional work — ``encode``/``decode``
+answered ``OVERLOADED`` — while writes and reads keep flowing; and when
+the WAL or chaos is active an exactly-once response cache (keyed by
+request id) answers duplicate deliveries from client retries with the
+*original* outcome instead of re-executing, which keeps pipelined
+suffix-replay byte-identical to the serial schedule.
 """
 
 from __future__ import annotations
@@ -112,8 +98,11 @@ __all__ = [
 
 
 def _default_cop_config() -> COPConfig:
-    # The service exists to exercise the batch kernels; default the codec
-    # to the memoised path (callers may still hand in a scalar config).
+    # Default the codec to the memoised path (callers may still hand in a
+    # scalar config).  The memo pays its way: on the perfbench svc-open
+    # workload (seed 3; 2-CPU x86_64 host, CPython 3.11) the serial replay
+    # takes 2.24-2.50 s and 0.39-0.41 CPU-ms per op with it, 2.70-2.90 s
+    # and 0.40-0.41 ms without it, for ~4 MB more peak RSS.
     return dataclasses.replace(COPConfig.four_byte(), use_batch=True)
 
 
@@ -124,7 +113,8 @@ class ServiceConfig:
     shards: int = 4
     mode: ProtectionMode = ProtectionMode.COP
     cop: COPConfig = field(default_factory=_default_cop_config)
-    #: Largest number of requests one worker drain executes as a batch.
+    #: Largest number of requests one worker drain executes and then
+    #: group-commits to the WAL with a single fdatasync.
     batch_max: int = 64
     #: Bounded per-shard queue depth (the backpressure knob).
     queue_depth: int = 1024
@@ -248,9 +238,6 @@ class Shard:
             capacity_bytes=config.capacity_bytes,
             obs=Observability(metrics=self.registry),
         )
-        self.batch: Optional[BatchCodec] = None
-        if isinstance(self.memory.codec, MemoizedCodec):
-            self.batch = BatchCodec(self.memory.codec.codec)
         self._queue: "queue.Queue[Union[_Work, _Stop]]" = queue.Queue(
             maxsize=config.queue_depth
         )
@@ -319,7 +306,10 @@ class Shard:
         self._c_wal_compactions = self.registry.counter(
             f"{prefix}.wal_compactions"
         )
-        self._h_latency = self.registry.histogram(f"{prefix}.latency_us")
+        # Queue wait (enqueue -> batch start) and service time (batch
+        # start -> ack, group commit included) split a request's residence.
+        self._h_queue_wait = self.registry.histogram(f"{prefix}.queue_wait_us")
+        self._h_service = self.registry.histogram(f"{prefix}.service_us")
         self._h_batch = self.registry.histogram(f"{prefix}.batch_blocks")
         self._h_recovery = self.registry.histogram(f"{prefix}.recovery_us")
 
@@ -492,11 +482,6 @@ class Shard:
             # content → image results, so reuse is safe, replay stays
             # fast, and kernels.memo.* counters stay monotonic.
             self.memory.codec = old_codec
-            self.batch = BatchCodec(old_codec.codec)
-        elif isinstance(self.memory.codec, MemoizedCodec):
-            self.batch = BatchCodec(self.memory.codec.codec)
-        else:
-            self.batch = None
 
     def _fail_pending(self, status: Status, error: str) -> int:
         """Resolve every queued and in-flight future with a typed status."""
@@ -533,13 +518,13 @@ class Shard:
             return 0
         live = ShardWAL.live_records(records)
         codec = self.memory.codec
-        if (
-            self.config.mode is ProtectionMode.COP
-            and isinstance(codec, MemoizedCodec)
-            and self.batch is not None
-        ):
-            # Same batch-seeding trick as _prewarm: one array pass for the
-            # encodes (and alias counts) replay will consult.
+        if self.config.mode is ProtectionMode.COP and isinstance(codec, MemoizedCodec):
+            # The whole journal is one genuinely large batch: seed the memo
+            # with one array pass for the encodes (and alias counts) replay
+            # will consult.  A cold start over 15k live loadgen records
+            # takes 0.72 s with this seeding and 0.92 s without it (2-CPU
+            # x86_64 host, CPython 3.11).
+            batch = BatchCodec(codec.codec)
             encode_missing: Dict[bytes, None] = {}
             for record in live:
                 if (
@@ -549,7 +534,7 @@ class Shard:
                 ):
                     encode_missing[record.data] = None
             if encode_missing:
-                stored, compressed = self.batch.encode_many(
+                stored, compressed = batch.encode_many(
                     blocks_to_array(list(encode_missing))
                 )
                 for row, key in enumerate(encode_missing):
@@ -568,7 +553,7 @@ class Shard:
                 ):
                     count_missing[key] = None
             if count_missing:
-                counts = self.batch.codeword_count_many(
+                counts = batch.codeword_count_many(
                     blocks_to_array(list(count_missing))
                 )
                 for row, key in enumerate(count_missing):
@@ -655,8 +640,8 @@ class Shard:
         """Execute requests one per batch on the calling thread.
 
         The serial-replay half of the parity contract: same shard, same
-        prewarm/seed/execute pipeline, batch size pinned to 1.  Only
-        valid before :meth:`start` or after :meth:`stop`.
+        execute/commit pipeline, batch size pinned to 1.  Only valid
+        before :meth:`start` or after :meth:`stop`.
         """
         if self._thread is not None:
             raise RuntimeError("shard worker is running; use submit()")
@@ -674,10 +659,11 @@ class Shard:
         # runs to completion or provably never started.
         ready: List[_Work] = []
         shed: List[_Work] = []
-        now = now_ns()
+        start_ns = now_ns()  # the batch start: queue wait ends, service begins
         for item in batch:
             deadline = item.request.deadline_ms
-            if deadline is not None and now - item.enqueue_ns > deadline * 1_000_000:
+            waited_ns = start_ns - item.enqueue_ns
+            if deadline is not None and waited_ns > deadline * 1_000_000:
                 shed.append(item)
             else:
                 ready.append(item)
@@ -691,9 +677,6 @@ class Shard:
                 else:
                     kept.append(item)
             ready = kept
-        else:
-            # Prewarm is optional work too; a tripped breaker skips it.
-            self._prewarm(ready)
         with self._state_lock:
             self._inflight = list(ready)
         chaos = self.config.chaos
@@ -730,7 +713,7 @@ class Shard:
         # Acks strictly after the group commit: a response becomes
         # observable only once the writes it implies are durable.
         for item, response in results:
-            self._finish(item, response)
+            self._finish(item, response, start_ns)
         with self._state_lock:
             self._inflight = []
         for item in shed:
@@ -745,6 +728,7 @@ class Shard:
                         f"shard {self.index} queue"
                     ),
                 ),
+                start_ns,
             )
         for item in overload:
             self._c_overload_shed.inc()
@@ -755,11 +739,13 @@ class Shard:
                     status=Status.OVERLOADED,
                     error=f"shard {self.index} breaker open; optional work shed",
                 ),
+                start_ns,
             )
 
-    def _finish(self, item: _Work, response: Response) -> None:
+    def _finish(self, item: _Work, response: Response, start_ns: int) -> None:
         self._c_requests.inc()
-        self._h_latency.observe((now_ns() - item.enqueue_ns) / 1000.0)
+        self._h_queue_wait.observe((start_ns - item.enqueue_ns) / 1000.0)
+        self._h_service.observe((now_ns() - start_ns) / 1000.0)
         if item.request.tenant:
             self.registry.inc(
                 f"{self.prefix}.tenant.{item.request.tenant}.requests"
@@ -791,141 +777,6 @@ class Shard:
         elif depth <= threshold / 2 and errors < self.config.breaker_trip_errors:
             self._breaker_open = False
             self.registry.set_gauge(f"{self.prefix}.breaker_open", 0.0)
-
-    # -- batch prewarm --------------------------------------------------------
-
-    def _prewarm(self, batch: List[_Work]) -> None:
-        """Seed the memo with every codec result this batch will consult.
-
-        COP mode only; see the module docstring for the counter-parity
-        argument.  Every seeded entry corresponds to a codec call the
-        execution pass definitely makes, so seeding here (miss) plus
-        hitting there reproduces the serial hit/miss totals.
-        """
-        codec = self.memory.codec
-        if (
-            self.config.mode is not ProtectionMode.COP
-            or not isinstance(codec, MemoizedCodec)
-            or self.batch is None
-        ):
-            return
-        threshold = codec.config.codeword_threshold
-
-        def wants_encode(request: Request) -> bool:
-            return (
-                request.op in ("write", "encode")
-                and request.data is not None
-                and len(request.data) == BLOCK_BYTES
-            )
-
-        def is_duplicate(request: Request) -> bool:
-            # An exactly-once hit answers from the cache without any codec
-            # call; prewarming it would seed (and miscount) unused work.
-            return (
-                self._responses is not None
-                and (request.id, request.attempt) in self._responses
-            )
-
-        # Pass 1: batch-encode every distinct uncached write/encode payload.
-        encode_missing: Dict[bytes, None] = {}
-        for item in batch:
-            if wants_encode(item.request) and not is_duplicate(item.request):
-                key = bytes(item.request.data)  # type: ignore[arg-type]
-                if key not in encode_missing and codec.peek_encode(key) is None:
-                    encode_missing[key] = None
-        fresh: Dict[bytes, EncodedBlock] = {}
-        if encode_missing:
-            stored, compressed = self.batch.encode_many(
-                blocks_to_array(list(encode_missing))
-            )
-            for row, key in enumerate(encode_missing):
-                encoded = EncodedBlock(stored[row].tobytes(), bool(compressed[row]))
-                fresh[key] = encoded
-                codec.seed_encode(key, encoded)
-
-        # Pass 2: batch codeword counts for the alias checks incompressible
-        # writes will trigger (the controller calls is_alias only on them).
-        count_missing: Dict[bytes, None] = {}
-        for item in batch:
-            request = item.request
-            if request.op != "write" or not wants_encode(request):
-                continue
-            if is_duplicate(request):
-                continue
-            key = bytes(request.data)  # type: ignore[arg-type]
-            encoded_opt = fresh.get(key) or codec.peek_encode(key)
-            if (
-                encoded_opt is not None
-                and not encoded_opt.compressed
-                and key not in count_missing
-                and codec.peek_count(key) is None
-            ):
-                count_missing[key] = None
-        if count_missing:
-            counts = self.batch.codeword_count_many(
-                blocks_to_array(list(count_missing))
-            )
-            for row, key in enumerate(count_missing):
-                codec.seed_count(key, int(counts[row]))
-
-        # Pass 3: walk the batch in arrival order simulating contents on an
-        # overlay, so reads of addresses written earlier in this batch
-        # prewarm against the stored image that write will install.
-        overlay: Dict[int, Optional[bytes]] = {}
-        decode_missing: Dict[bytes, None] = {}
-
-        def note_decode(stored_image: bytes) -> None:
-            if (
-                stored_image not in decode_missing
-                and codec.peek_decode(stored_image) is None
-            ):
-                decode_missing[stored_image] = None
-
-        for item in batch:
-            request = item.request
-            if is_duplicate(request):
-                continue
-            if request.op == "write" and wants_encode(request):
-                addr = request.addr
-                if (
-                    addr is None
-                    or check_addr(addr, self.memory.region_base) is not None
-                ):
-                    continue
-                key = bytes(request.data)  # type: ignore[arg-type]
-                encoded_opt = fresh.get(key) or codec.peek_encode(key)
-                if encoded_opt is None:  # pragma: no cover - pass 1 covers it
-                    continue
-                if encoded_opt.compressed:
-                    overlay[addr] = encoded_opt.stored
-                else:
-                    count_opt = codec.peek_count(key)
-                    aliased = count_opt is not None and count_opt >= threshold
-                    if not aliased:
-                        # Raw COP store: the bytes land as-is.
-                        overlay[addr] = key
-            elif request.op == "read":
-                addr = request.addr
-                if (
-                    addr is None
-                    or check_addr(addr, self.memory.region_base) is not None
-                ):
-                    continue
-                stored_now = overlay.get(addr, self.memory.contents.get(addr))
-                if stored_now is not None:
-                    note_decode(stored_now)
-            elif (
-                request.op == "decode"
-                and request.data is not None
-                and len(request.data) == BLOCK_BYTES
-            ):
-                note_decode(bytes(request.data))
-        if decode_missing:
-            decoded = self.batch.decode_many(
-                blocks_to_array(list(decode_missing))
-            )
-            for row, key in enumerate(decode_missing):
-                codec.seed_decode(key, decoded[row])
 
     # -- execution ------------------------------------------------------------
 

@@ -6,6 +6,9 @@ any future in that batch resolves.  Acknowledged writes are therefore
 durable: after a worker crash — or a whole-process restart — replaying
 the journal rebuilds the shard's stored contents byte-identically,
 because COP-mode writes are pure per-address functions of content.
+The journal's directory is fsynced whenever the journal is opened for
+appending and after a compaction's rename, so the file's name is as
+durable as the records in it (Pillai et al., OSDI'14).
 
 Framing follows the PR 4 ``CheckpointJournal`` (fsync'd JSONL with
 torn-tail repair): a kill mid-append can tear at most the final line,
@@ -56,6 +59,20 @@ class WalRecord(NamedTuple):
 def _checksum(seq: int, request_id: int, addr: int, data: bytes) -> str:
     head = b"%d|%d|%d|" % (seq, request_id, addr)
     return f"{zlib.crc32(data, zlib.crc32(head)):08x}"
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make a directory's entries durable (a new or renamed file's name).
+
+    fsync on a file persists its data, not the directory entry naming
+    it; until the parent directory is synced, a power loss can drop a
+    freshly created or renamed file outright.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _encode(record: WalRecord) -> str:
@@ -161,6 +178,11 @@ class ShardWAL:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = self.path.open("a", encoding="utf-8")
+            # The journal's name is directory metadata that fdatasync does
+            # not cover.  Sync it once per open, so a journal created here
+            # (or by a predecessor that died before syncing it) cannot
+            # vanish together with the writes acked into it.
+            _fsync_dir(self.path.parent)
         if self._tail_torn:
             # Terminate a torn tail so the new records start clean.
             self._fh.write("\n")
@@ -213,8 +235,9 @@ class ShardWAL:
     def compact(self, live: List[WalRecord]) -> None:
         """Atomically rewrite the journal to exactly ``live`` records.
 
-        Write-to-temp + fsync + ``os.replace`` so a kill mid-compaction
-        leaves either the old journal or the new one, never a mix.
+        Write-to-temp + fsync + ``os.replace`` + directory fsync, so a
+        kill mid-compaction leaves either the old journal or the new one,
+        never a mix, and a power loss cannot revert the rename.
         """
         self.close()
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -224,6 +247,7 @@ class ShardWAL:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        _fsync_dir(self.path.parent)
         self._tail_torn = False
         self.torn_lines = 0
         self.compactions += 1

@@ -268,10 +268,8 @@ class TestMemoizedCodec:
         block = b"seed me once, hit me forever".ljust(64, b"!")
         encoded = codec.encode(block)
         assert memo.peek_encode(block) is None  # peeks are counter-free
-        assert not memo.has_encode(block)
         memo.seed_encode(block, encoded)  # a seed counts one miss
         memo.seed_encode(block, encoded)  # re-seeding a present key: no-op
-        assert memo.has_encode(block)
         assert memo.peek_encode(block) == encoded
         counters = registry.snapshot()["counters"]
         assert counters["kernels.memo.misses"] == 1

@@ -10,6 +10,7 @@ retry/reconnect, and end-to-end loadgen parity under injected chaos.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import time
@@ -133,6 +134,38 @@ class TestShardWAL:
         wal.append(99, 128, _compressible(b"post"))
         wal.commit()
         assert len(wal.load_records()) == 3
+        wal.close()
+
+    def test_new_and_compacted_journal_fsync_their_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A created or renamed journal's directory entry is made durable."""
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        directory = os.stat(tmp_path)
+        dir_key = (directory.st_dev, directory.st_ino)
+
+        wal = ShardWAL(tmp_path / "s.wal")
+        wal.append(1, 0, _compressible(b"a"))
+        wal.commit()  # creates the journal
+        assert synced.count(dir_key) == 1
+        wal.append(2, 0, _compressible(b"b"))
+        wal.commit()  # same open journal: its name is already durable
+        assert synced.count(dir_key) == 1
+        wal.compact(ShardWAL.live_records(wal.load_records()))
+        assert synced.count(dir_key) == 2
+        # The replacement's data was synced before the rename.
+        assert synced[-2] != dir_key
+        wal.append(3, 64, _compressible(b"c"))
+        wal.commit()  # reopens the journal, syncing its directory again
+        assert synced.count(dir_key) == 3
         wal.close()
 
     def test_cold_start_replays_previous_process(self, tmp_path):
