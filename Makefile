@@ -94,11 +94,10 @@ kernels-smoke:
 	diff /tmp/cop-kern-scalar/fig9.txt /tmp/cop-kern-batch/fig9.txt
 	@echo "kernels-smoke: batch output is byte-identical to scalar"
 
-# Scalar/batch parity gate for the *simulator*: the full Fig. 11 sweep
-# through the scalar MultiCoreSystem loop and through the batched
-# epoch-replay engine (--batch) into separate results dirs, then
-# byte-compare the saved tables (see docs/kernels.md, "Batched epoch
-# replay").
+# Content-model parity gate for the *simulator*: the full Fig. 11 sweep
+# through the replay loop with real bytes and with the classification
+# oracle (--batch) into separate results dirs, then byte-compare the
+# saved tables (see docs/kernels.md, "Epoch replay").
 sim-parity-smoke:
 	REPRO_RESULTS_DIR=/tmp/cop-sim-scalar PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig11 --scale smoke
@@ -106,7 +105,7 @@ sim-parity-smoke:
 		$(PYTHON) -m repro.experiments.cli fig11 --scale smoke --batch
 	diff /tmp/cop-sim-scalar/fig11.json /tmp/cop-sim-batch/fig11.json
 	diff /tmp/cop-sim-scalar/fig11.txt /tmp/cop-sim-batch/fig11.txt
-	@echo "sim-parity-smoke: batched replay output is byte-identical to scalar"
+	@echo "sim-parity-smoke: oracle-model output is byte-identical to real-bytes"
 
 # Performance-trajectory smoke: run the fast bench suites twice into a
 # fresh results dir — the first run seeds results/trajectory.jsonl, the
@@ -114,8 +113,8 @@ sim-parity-smoke:
 # threshold: CI machines are noisy; the gate *mechanism* is what this
 # target smokes — tighter gates belong on dedicated perf hardware).
 # Artifacts land in /tmp/cop-bench-results/BENCH_<suite>.json
-# (see docs/perf-trajectory.md).  The sim suite (scalar vs batched
-# epoch replay at SMALL scale) is heavier, so it runs once; its
+# (see docs/perf-trajectory.md).  The sim suite (real-bytes vs oracle
+# content model at SMALL scale) is heavier, so it runs once; its
 # regression gate is the simgate speedup floor, not the trajectory diff.
 bench-trajectory:
 	rm -rf /tmp/cop-bench-results

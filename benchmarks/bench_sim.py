@@ -1,26 +1,26 @@
-"""Benchmark: scalar vs batched epoch replay (the Fig. 11 hot path).
+"""Benchmark: the replay loop's two content models (the Fig. 11 hot path).
 
 Each case times one fig11-style sweep — four protection modes over one
-memory-intensive benchmark at SMALL scale — through the scalar
-``MultiCoreSystem`` loop and through the ``use_batch`` engine
-(:mod:`repro.simulation.batch`).  The recorded ``BENCH_sim.json`` pairs
-``fig11_sweep_scalar_<bench>`` with ``fig11_sweep_batch_<bench>``;
+memory-intensive benchmark at SMALL scale — through ``MultiCoreSystem``'s
+one epoch loop, once with the real-bytes content model and once with the
+classification oracle (``use_batch``, :mod:`repro.simulation.batch`).
+The recorded ``BENCH_sim.json`` pairs ``fig11_sweep_scalar_<bench>``
+(real bytes) with ``fig11_sweep_batch_<bench>`` (oracle); the names are
+kept from when these were two engines, so the trajectory still compares.
 ``python -m repro.bench.simgate`` turns those pairs into end-to-end
 speedups and gates the median (wired into ``make bench-trajectory``).
 
-The batch cases run with ``warmup=1`` so the process-level
+The oracle cases run with ``warmup=1`` so the process-level
 classification store (:data:`repro.simulation.batch._STORE`) is warm —
 the steady state of a multi-mode sweep, which is exactly how fig11 uses
-the engine.  The speedups only mean anything because the two paths are
-bit-exact; ``tests/test_batch_sim.py`` and ``make sim-parity-smoke``
-enforce that.
+it.  The speedups only mean anything because the two models are
+bit-exact; ``tests/test_batch_sim.py``, ``tests/test_sim_goldens.py`` and
+``make sim-parity-smoke`` enforce that.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-
-import pytest
 
 from repro.bench import perf_case
 from repro.core.controller import ProtectionMode
@@ -61,8 +61,8 @@ def _sweep(bench: str, use_batch: bool):
 # -- trajectory cases (run by `cop-experiments bench --suite sim`) ------------
 
 for _bench in _BENCHES:
-    # Scalar sweeps are deterministic cold; skip the warmup repeat to keep
-    # the suite's wall time down.
+    # Real-bytes sweeps are deterministic cold; skip the warmup repeat to
+    # keep the suite's wall time down.
     perf_case(suite="sim", name=f"fig11_sweep_scalar_{_bench}", repeats=2, warmup=0)(
         lambda bench=_bench: _sweep(bench, use_batch=False)
     )
@@ -70,24 +70,3 @@ for _bench in _BENCHES:
         lambda bench=_bench: _sweep(bench, use_batch=True)
     )
 
-
-@pytest.mark.parametrize("bench", _BENCHES)
-def test_batch_sweep_matches_scalar_here(bench):
-    """A speedup between diverging paths is meaningless — spot-check
-    bit-equality on this machine (the full matrix lives in
-    ``tests/test_batch_sim.py``)."""
-    from dataclasses import asdict
-
-    scalar = run_benchmark(
-        bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2, track=False
-    )
-    batch = run_benchmark(
-        bench,
-        ProtectionMode.COP,
-        scale=Scale.SMOKE,
-        cores=2,
-        system=replace(SCALED_SYSTEM, use_batch=True),
-        track=False,
-    )
-    assert asdict(scalar.perf) == asdict(batch.perf)
-    assert scalar.memory.stats.as_dict() == batch.memory.stats.as_dict()

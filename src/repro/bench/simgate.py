@@ -1,15 +1,17 @@
 """Speedup gate over a ``BENCH_sim.json`` artifact.
 
 ``benchmarks/bench_sim.py`` records paired cases
-``fig11_sweep_scalar_<bench>`` / ``fig11_sweep_batch_<bench>``.  This
-module turns each pair's median wall times into an end-to-end speedup and
-fails if the median speedup across benchmarks falls below a floor::
+``fig11_sweep_scalar_<bench>`` (the replay loop with real bytes) /
+``fig11_sweep_batch_<bench>`` (the same loop with the classification
+oracle).  This module turns each pair's median wall times into an
+end-to-end speedup and fails if the median speedup across benchmarks
+falls below a floor::
 
     python -m repro.bench.simgate results/BENCH_sim.json --min-speedup 5
 
-Run by ``make bench-trajectory`` — the batched replay engine's headline
-claim (docs/kernels.md, "Batched epoch replay") is a regression-gated
-artifact, not a one-off measurement.
+Run by ``make bench-trajectory`` — the oracle content model's headline
+claim (docs/kernels.md, "Epoch replay") is a regression-gated artifact,
+not a one-off measurement.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         "--min-speedup",
         type=float,
         default=5.0,
-        help="fail if the median batch-vs-scalar speedup is below this",
+        help="fail if the median oracle-vs-real-bytes speedup is below this",
     )
     args = parser.parse_args(argv)
 

@@ -276,8 +276,14 @@ class ProtectedMemory:
 
     # -- write path ------------------------------------------------------------
 
-    def write(self, addr: int, data: bytes) -> AccessResult:
-        """Store a block (a writeback from the LLC or initial population)."""
+    def write(
+        self, addr: int, data: bytes, events: Optional[list] = None
+    ) -> AccessResult:
+        """Store a block (a writeback from the LLC or initial population).
+
+        ``events`` collects trace events instead of emitting them (the
+        simulator defers them to its wave flush); ``None`` emits directly.
+        """
         if len(data) != BLOCK_BYTES:
             raise ValueError("block must be 64 bytes")
         if addr % BLOCK_BYTES:
@@ -324,8 +330,7 @@ class ProtectedMemory:
         if self.mode is ProtectionMode.COP:
             if self.codec.is_alias(data):
                 self.stats.alias_rejects += 1
-                if self.obs.enabled:
-                    self.obs.trace.emit("alias_reject", addr=addr, mode=self.mode.value)
+                self._emit("alias_reject", addr, events)
                 return AccessResult(accepted=False)
             self.contents[addr] = bytes(data)
             self.stats.raw_writes += 1
@@ -343,8 +348,7 @@ class ProtectedMemory:
                 if placed is not None:
                     self.region.free(placed.entry_index)
                 self.stats.alias_rejects += 1
-                if self.obs.enabled:
-                    self.obs.trace.emit("alias_reject", addr=addr, mode=self.mode.value)
+                self._emit("alias_reject", addr, events)
                 return AccessResult(accepted=False)
             entry = placed.entry_index
             stored = placed.stored
@@ -382,14 +386,16 @@ class ProtectedMemory:
             was_uncompressed=True, ecc_writes=(self.embedded_ecc_addr(addr),)
         )
 
-    def _memzip_read(self, addr: int, stored: bytes) -> AccessResult:
+    def _memzip_read(
+        self, addr: int, stored: bytes, events: Optional[list]
+    ) -> AccessResult:
         assert self.codec is not None
         latency = self.config.decompress_latency
         if addr in self._memzip_compressed:
             decoded = self.codec.decode(stored)
             self.stats.compressed_reads += 1
             corrected = decoded.corrected_words > 0
-            self._count_read(corrected, decoded.uncorrectable, addr)
+            self._count_read(corrected, decoded.uncorrectable, addr, events)
             return AccessResult(
                 data=decoded.data,
                 compressed=True,
@@ -401,7 +407,7 @@ class ProtectedMemory:
         result = self._wide_code.decode(word)
         corrected = result.status is CodeStatus.CORRECTED
         bad = result.status is CodeStatus.DETECTED
-        self._count_read(corrected, bad, addr)
+        self._count_read(corrected, bad, addr, events)
         self.stats.ecc_block_reads += 1
         return AccessResult(
             data=int_to_bytes(result.data, BLOCK_BYTES),
@@ -426,11 +432,13 @@ class ProtectedMemory:
 
     # -- read path ---------------------------------------------------------------
 
-    def read(self, addr: int) -> AccessResult:
+    def read(self, addr: int, events: Optional[list] = None) -> AccessResult:
         """Fetch and (per mode) verify/correct/decompress a block.
 
-        Raises :class:`BlockNotWrittenError` (a ``KeyError``) for a block
-        that was never written, counting it in ``stats.read_misses``.
+        ``events`` collects the ``corrected`` / ``uncorrectable`` trace
+        events as in :meth:`write`.  Raises :class:`BlockNotWrittenError`
+        (a ``KeyError``) for a block that was never written, counting it
+        in ``stats.read_misses``.
         """
         if addr not in self.contents:
             self.stats.read_misses += 1
@@ -443,7 +451,7 @@ class ProtectedMemory:
 
         if self.mode is ProtectionMode.ECC_DIMM:
             data, corrected, bad = self._dimm_correct(addr, stored)
-            self._count_read(corrected, bad, addr)
+            self._count_read(corrected, bad, addr, events)
             return AccessResult(data=data, corrected=corrected, uncorrectable=bad)
 
         if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
@@ -453,7 +461,7 @@ class ProtectedMemory:
             result = self._wide_code.decode(word)
             corrected = result.status is CodeStatus.CORRECTED
             bad = result.status is CodeStatus.DETECTED
-            self._count_read(corrected, bad, addr)
+            self._count_read(corrected, bad, addr, events)
             self.stats.ecc_block_reads += 1
             ecc_addr = (
                 self.baseline_ecc_addr(addr)
@@ -468,7 +476,7 @@ class ProtectedMemory:
             )
 
         if self.mode is ProtectionMode.MEMZIP:
-            return self._memzip_read(addr, stored)
+            return self._memzip_read(addr, stored, events)
 
         assert self.codec is not None
         decoded = self.codec.decode(stored)
@@ -476,7 +484,7 @@ class ProtectedMemory:
         if decoded.is_compressed:
             self.stats.compressed_reads += 1
             corrected = decoded.corrected_words > 0
-            self._count_read(corrected, decoded.uncorrectable, addr)
+            self._count_read(corrected, decoded.uncorrectable, addr, events)
             return AccessResult(
                 data=decoded.data,
                 compressed=True,
@@ -501,7 +509,7 @@ class ProtectedMemory:
         # access (which is billed separately through ``ecc_reads``).
         assert self.formatter is not None
         loaded = self.formatter.load_incompressible(stored)
-        self._count_read(loaded.corrected, loaded.uncorrectable, addr)
+        self._count_read(loaded.corrected, loaded.uncorrectable, addr, events)
         self.stats.ecc_block_reads += 1
         return AccessResult(
             data=loaded.data,
@@ -512,18 +520,19 @@ class ProtectedMemory:
             ecc_reads=(self.entry_block_addr(loaded.entry_index),),
         )
 
-    # -- fast timing-model paths (batched replay; docs/kernels.md) -----------
+    # -- fast timing-model paths (oracle content model; docs/kernels.md) ----
     #
-    # The batched epoch-replay engine never observes stored payload bits on
-    # the fault-free path: decode(encode(x)) == x, nothing is corrected,
-    # and only the *classification* of a block (compressible / alias) and
-    # the mode bookkeeping reach the stats, the trace events, and the
-    # timing model.  ``fast_write``/``fast_read`` therefore mirror
-    # ``write``/``read`` exactly in every observable effect — counters,
-    # contents keys, entry/region state, trace events, AccessResult flags
-    # and ECC addresses — while skipping content generation, compression,
-    # and all parity arithmetic.  The parity suite (tests/test_batch_sim.py)
-    # enforces the equivalence end to end.
+    # The simulator's classification-oracle content model never observes
+    # stored payload bits on the fault-free path: decode(encode(x)) == x,
+    # nothing is corrected, and only the *classification* of a block
+    # (compressible / alias) and the mode bookkeeping reach the stats, the
+    # trace events, and the timing model.  ``fast_write``/``fast_read``
+    # therefore mirror ``write``/``read`` exactly in every observable
+    # effect — counters, contents keys, entry/region state, trace events,
+    # AccessResult flags and ECC addresses — while skipping content
+    # generation, compression, and all parity arithmetic.  The parity suite
+    # (tests/test_batch_sim.py) and the golden digests
+    # (tests/test_sim_goldens.py) enforce the equivalence end to end.
 
     def fast_write(
         self,
@@ -539,9 +548,8 @@ class ProtectedMemory:
         (``compress(...) is not None`` / ``codec.is_alias``); ``content``
         is a lazy thunk producing the raw 64 bytes, consulted only when
         COP-ER must run real entry allocation (pointer de-aliasing is
-        content-dependent).  ``events`` collects deferred trace events —
-        the batch engine buffers them so wave-level reordering cannot leak
-        into the trace; ``None`` emits directly.
+        content-dependent).  ``events`` collects deferred trace events as
+        in :meth:`write`; ``None`` emits directly.
         """
         if addr % BLOCK_BYTES:
             raise ValueError("address must be block aligned")
@@ -605,7 +613,7 @@ class ProtectedMemory:
         if self.mode is ProtectionMode.COP:
             if alias:
                 self.stats.alias_rejects += 1
-                self._emit_alias_reject(addr, events)
+                self._emit("alias_reject", addr, events)
                 return _RESULT_WRITE_REJECTED
             self.contents[addr] = _PLACEHOLDER
             self._fast_kind[addr] = False
@@ -644,7 +652,7 @@ class ProtectedMemory:
                 if entry is not None:
                     self.region.free(entry)
                 self.stats.alias_rejects += 1
-                self._emit_alias_reject(addr, events)
+                self._emit("alias_reject", addr, events)
                 return _RESULT_WRITE_REJECTED
             self.entry_of[addr] = entry
             self.stats.entry_allocations += 1
@@ -661,13 +669,15 @@ class ProtectedMemory:
             self._fast_write_ecc[ecc_addr] = cached
         return cached
 
-    def fast_read(self, addr: int) -> AccessResult:
+    def fast_read(self, addr: int, events: Optional[list] = None) -> AccessResult:
         """Timing-model twin of :meth:`read` (fault-free, content-free).
 
         Classification comes from the kind table maintained by
         :meth:`fast_write` rather than from decoding stored bytes; on the
         fault-free path the two always agree (compressed images decode
-        compressed, raw images were de-aliased before storing).
+        compressed, raw images were de-aliased before storing).  Nothing
+        is ever corrected, so ``events`` (taken for :meth:`read`'s
+        signature) never receives anything.
         """
         if addr not in self.contents:
             self.stats.read_misses += 1
@@ -732,29 +742,27 @@ class ProtectedMemory:
             self._fast_read_ecc[ecc_addr] = cached
         return cached
 
-    def _emit_alias_reject(self, addr: int, events: Optional[list]) -> None:
+    def _emit(self, kind: str, addr: Optional[int], events: Optional[list]) -> None:
         if not self.obs.enabled:
             return
         if events is None:
-            self.obs.trace.emit("alias_reject", addr=addr, mode=self.mode.value)
+            self.obs.trace.emit(kind, addr=addr, mode=self.mode.value)
         else:
-            events.append(
-                ("alias_reject", {"addr": addr, "mode": self.mode.value})
-            )
+            events.append((kind, {"addr": addr, "mode": self.mode.value}))
 
     def _count_read(
-        self, corrected: bool, uncorrectable: bool, addr: Optional[int] = None
+        self,
+        corrected: bool,
+        uncorrectable: bool,
+        addr: Optional[int] = None,
+        events: Optional[list] = None,
     ) -> None:
         if corrected:
             self.stats.corrected_blocks += 1
-            if self.obs.enabled:
-                self.obs.trace.emit("corrected", addr=addr, mode=self.mode.value)
+            self._emit("corrected", addr, events)
         if uncorrectable:
             self.stats.uncorrectable_blocks += 1
-            if self.obs.enabled:
-                self.obs.trace.emit(
-                    "uncorrectable", addr=addr, mode=self.mode.value
-                )
+            self._emit("uncorrectable", addr, events)
 
     def publish_metrics(self, registry=None, prefix: str = "controller") -> None:
         """Mirror the controller counters into a metrics registry.

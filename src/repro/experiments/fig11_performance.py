@@ -38,9 +38,9 @@ def run(
 ) -> ExperimentTable:
     """Produce the Fig. 11 table.
 
-    ``use_batch`` replays the traces through the batched epoch-replay
-    engine (``--batch`` on the CLI); results are bit-identical to the
-    scalar loop — ``make sim-parity-smoke`` byte-diffs the two.
+    ``use_batch`` replays the traces with the classification-oracle
+    content model instead of real bytes (``--batch`` on the CLI); results
+    are bit-identical — ``make sim-parity-smoke`` byte-diffs the two.
     """
     system = replace(SCALED_SYSTEM, use_batch=True) if use_batch else SCALED_SYSTEM
     table = ExperimentTable(

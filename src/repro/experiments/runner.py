@@ -68,6 +68,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
+from repro._durable import fsync_dir, make_dirs
 from repro.core.config import COPConfig
 from repro.core.controller import ProtectedMemory, ProtectionMode
 from repro.experiments import resilience
@@ -376,14 +377,21 @@ class ResultCache:
         if not self.enabled:
             return
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dirs(path.parent)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _CACHE_MAGIC + hashlib.sha256(payload).digest() + payload
-        # Atomic publish: concurrent writers of the same key are benign
-        # (identical content), partial writes are never visible.
+        # Atomic, durable publish: concurrent writers of the same key are
+        # benign (identical content), partial writes are never visible,
+        # and the data is on disk before the rename names it — then the
+        # rename itself is synced, so a power loss keeps the entry whole
+        # or drops it, never half of it.
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         tmp.replace(path)
+        fsync_dir(path.parent)
         self.stores += 1
 
 

@@ -78,13 +78,7 @@ def run_benchmark(
             footprint_blocks=footprint_blocks,
             base_addr=base,
         )
-        # The batch engine takes the trace pre-flattened; the scalar loop
-        # streams Epoch objects.  Both draw the same RNG sequence.
-        traces.append(
-            generator.epoch_arrays(epoch_count)
-            if system.use_batch
-            else generator.epochs(epoch_count)
-        )
+        traces.append(generator.epoch_arrays(epoch_count))
         sources.append(BlockSource(profile, seed=content_seed))
         ipcs.append(profile.perfect_ipc)
 
@@ -134,11 +128,7 @@ def run_mix(
             footprint_blocks=footprint,
             base_addr=core * _CORE_STRIDE,
         )
-        traces.append(
-            generator.epoch_arrays(epochs_for(scale))
-            if system.use_batch
-            else generator.epochs(epochs_for(scale))
-        )
+        traces.append(generator.epoch_arrays(epochs_for(scale)))
         sources.append(BlockSource(profile, seed=seed * 100 + core))
         ipcs.append(profile.perfect_ipc)
     tracker = VulnerabilityTracker() if track else None

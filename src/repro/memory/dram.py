@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.memory.address import AddressMapper, DRAMGeometry, MappedAddress
+from repro.memory.address import AddressMapper, DRAMGeometry
 
 __all__ = [
     "DRAMTiming",
@@ -50,10 +50,11 @@ class DRAMTiming:
     def __post_init__(self) -> None:
         # The refresh window is the last tRFC of each tREFI interval.  A
         # device that spends its whole interval (or more) refreshing can
-        # never accept a command: ``_after_refresh`` would "push" a start
-        # time into a window that covers all time, silently returning a
-        # time still inside a refresh.  Reject the impossible geometry at
-        # construction instead of producing nonsense timings.
+        # never accept a command: the refresh step of ``service_wave``
+        # would "push" a start time into a window that covers all time,
+        # silently returning a time still inside a refresh.  Reject the
+        # impossible geometry at construction instead of producing
+        # nonsense timings.
         if self.trfc_ns < 0:
             raise ValueError(f"trfc_ns must be non-negative: {self.trfc_ns}")
         if self.trefi_ns > 0 and self.trfc_ns >= self.trefi_ns:
@@ -224,25 +225,6 @@ class DRAMSystem:
         #: Hot-path flag: per-bank accounting only when someone is looking.
         self._track_banks = self.obs.enabled
 
-    # -- refresh -----------------------------------------------------------
-
-    def _after_refresh(self, t_ns: float) -> float:
-        """Push a command start time out of any refresh window.
-
-        All ranks refresh in lockstep every tREFI, occupying the last
-        tRFC of each interval.  A refresh also closes every row (the
-        DRAM's auto-precharge on REF), which the row-buffer state ignores
-        here — a small optimism that applies equally to every protection
-        mode under comparison.
-        """
-        timing = self.config.timing
-        if timing.trefi_ns <= 0:
-            return t_ns
-        position = t_ns % timing.trefi_ns
-        if position >= timing.trefi_ns - timing.trfc_ns:
-            return t_ns - position + timing.trefi_ns
-        return t_ns
-
     # -- single access ---------------------------------------------------
 
     def would_row_hit(self, addr: int) -> bool:
@@ -252,63 +234,9 @@ class DRAMSystem:
         return bank.open_row == loc.row
 
     def access(self, addr: int, is_write: bool, now_ns: float) -> AccessTiming:
-        """Perform one 64-byte access, updating bank and bus state."""
-        timing = self.config.timing
-        loc: MappedAddress = self.mapper.map(addr)
-        bank = self._banks[loc.channel][loc.rank][loc.bank]
-
-        start = self._after_refresh(max(now_ns, bank.ready_ns))
-        if bank.open_row == loc.row:
-            row_hit = True
-            data_ready = start + timing.ns(timing.cl)
-        else:
-            row_hit = False
-            t = start
-            if bank.open_row is not None:
-                # Precharge may not begin before tRAS from the activate.
-                t = max(t, bank.act_ns + timing.ns(timing.tras))
-                t += timing.ns(timing.trp)
-            # tFAW: at most four activates per rank per rolling window.
-            if timing.tfaw:
-                key = (loc.channel, loc.rank)
-                history = self._act_history.setdefault(key, [])
-                if len(history) >= 4:
-                    t = max(t, history[-4] + timing.ns(timing.tfaw))
-                history.append(t)
-                del history[:-4]
-            t += timing.ns(timing.trcd)
-            bank.act_ns = t - timing.ns(timing.trcd)
-            bank.open_row = loc.row
-            data_ready = t + timing.ns(timing.cl)
-
-        burst_start = max(data_ready, self._bus_free_ns[loc.channel])
-        complete = burst_start + timing.ns(timing.burst_cycles)
-        self._bus_free_ns[loc.channel] = complete
-        bank.ready_ns = complete
-        if self.config.page_policy is PagePolicy.CLOSED:
-            # Auto-precharge: the next access always activates, but never
-            # pays the explicit precharge or waits out tRAS here (the
-            # precharge overlaps the idle gap; tRAS still bounds it).
-            bank.ready_ns = max(
-                complete, bank.act_ns + timing.ns(timing.tras + timing.trp)
-            )
-            bank.open_row = None
-
-        self.stats.busy_ns += complete - start
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-        if row_hit:
-            self.stats.row_hits += 1
-        else:
-            self.stats.row_misses += 1
-        if self._track_banks:
-            entry = self.stats.per_bank.setdefault(
-                (loc.channel, loc.rank, loc.bank), [0, 0]
-            )
-            entry[0 if row_hit else 1] += 1
-        return AccessTiming(start, complete, row_hit)
+        """Perform one 64-byte access: a one-request :meth:`service_wave`."""
+        starts, completes, hits = self.service_wave(((addr, is_write),), now_ns)
+        return AccessTiming(starts[0], completes[0], hits[0])
 
     def publish_metrics(self, registry, prefix: str = "dram") -> None:
         """Mirror the DRAM counters (and per-bank detail) into a registry.
@@ -331,17 +259,23 @@ class DRAMSystem:
     ) -> tuple[list[float], list[float], list[bool]]:
         """Service a wave of simultaneously ready requests *in order*.
 
-        Bit-exact replacement for calling :meth:`access` once per request
-        at the same ``now_ns`` (same float operations in the same order,
-        same bank/bus/stats mutations), but with the address decomposition
-        vectorised up front and the command-timing recurrence run as one
-        tight loop over pre-resolved bank state.  Returns per-request
+        The model's one command-timing recurrence.  Per request: wait for
+        the bank, step out of any refresh window, then either a row hit
+        (tCL) or precharge (after tRAS) + activate (within tFAW) + tRCD +
+        tCL, then the data burst on the channel bus.  Returns per-request
         ``(start_ns, complete_ns, row_hit)`` as three parallel lists.
 
-        The serial recurrence is irreducible — each request's start time
-        depends on the bank/bus state its predecessors left behind — so
-        this is a kernel over a *wave*, carrying bank state across calls
-        exactly like the scalar path does.
+        The recurrence is serial — each request's start time depends on
+        the bank/bus state its predecessors left behind — so the address
+        decomposition is done up front and the recurrence runs as one
+        tight loop over pre-resolved bank state, carrying that state
+        across calls.
+
+        Refresh: all ranks refresh in lockstep every tREFI, occupying the
+        last tRFC of each interval.  A refresh also closes every row (the
+        DRAM's auto-precharge on REF), which the row-buffer state ignores
+        here — a small optimism that applies equally to every protection
+        mode under comparison.
         """
         n = len(requests)
         if n == 0:
@@ -499,11 +433,9 @@ class DRAMSystem:
         granularity the interval simulator needs: within one miss group,
         requests to open rows are scheduled before row conflicts.
 
-        Returns exactly ``len(requests)`` timings.  An unfilled slot would
-        mean the scheduler dropped a request on the floor; that is an
-        invariant violation and raises instead of being silently hidden
-        (the old ``[r for r in results if r is not None]`` filter shrank
-        the result list, desynchronising it from the request order).
+        Returns exactly ``len(requests)`` timings.  A scheduler that drops
+        a request is an invariant violation and raises, instead of
+        returning a shorter list out of step with the request order.
         """
         order = sorted(
             range(len(requests)),
@@ -519,9 +451,5 @@ class DRAMSystem:
                 f"{len(requests)} requests; the FR-FCFS order must "
                 "cover every slot exactly once"
             )
-        results: list[Optional[AccessTiming]] = [None] * len(requests)
-        for position, i in enumerate(order):
-            results[i] = AccessTiming(
-                starts[position], completes[position], hits[position]
-            )
-        return [result for result in results if result is not None]
+        timings = map(AccessTiming, starts, completes, hits)
+        return [timing for _, timing in sorted(zip(order, timings))]

@@ -22,6 +22,7 @@ from typing import Iterable
 
 from repro.compression.base import BLOCK_BYTES
 from repro.core.controller import ProtectedMemory
+from repro.reliability.injection import classify_readback
 
 __all__ = ["FailureMode", "SRIDHARAN_MIX", "FailureModeCampaign", "ModeOutcomes"]
 
@@ -93,12 +94,11 @@ class FailureModeCampaign:
         for bit in self._positions(mode):
             self.memory.flip_bit(addr, bit)
         result = self.memory.read(addr)
-        if result.data == self.golden[addr]:
+        outcome = classify_readback(
+            result.data, self.golden[addr], result.corrected, result.uncorrectable
+        )
+        if outcome in ("corrected", "masked"):
             outcome = "survived"
-        elif result.uncorrectable:
-            outcome = "detected"
-        else:
-            outcome = "silent"
         record = self.outcomes[mode.name]
         record.trials += 1
         setattr(record, outcome, getattr(record, outcome) + 1)

@@ -6,7 +6,8 @@ real bits in the stored images behind a :class:`ProtectedMemory`, read the
 blocks back, and compare against golden copies.  Outcomes:
 
 * ``detected`` — the controller flagged the read uncorrectable: a
-  machine-check, not silent corruption.  This is checked *first*: a
+  machine-check, not silent corruption.  This is checked *first*
+  (:func:`classify_readback`, shared by every campaign): a
   detected word is never consumed, so the outcome is "detected" even if
   the returned bytes happen to coincide with golden (e.g. both flips of
   a 2-bit error landing in one word's check byte);
@@ -34,7 +35,26 @@ from dataclasses import dataclass, field
 from repro.compression.base import BLOCK_BYTES
 from repro.core.controller import ProtectedMemory, ProtectionMode
 
-__all__ = ["InjectionStats", "FaultInjector"]
+__all__ = ["InjectionStats", "FaultInjector", "classify_readback"]
+
+
+def classify_readback(
+    data: bytes, golden: bytes, corrected: bool, uncorrectable: bool
+) -> str:
+    """Outcome of reading back one fault-injected block.
+
+    The one classifier every campaign uses.  Uncorrectable wins: a
+    detected word raises a machine check, so the data bytes are never
+    consumed — even when the garbage that came back happens to equal
+    golden (2 flips in one check byte).  Then ``corrected`` / ``masked``
+    when the bytes match golden (with / without a reported correction),
+    else ``silent``.
+    """
+    if uncorrectable:
+        return "detected"
+    if data == golden:
+        return "corrected" if corrected else "masked"
+    return "silent"
 
 
 @dataclass
@@ -91,15 +111,9 @@ class FaultInjector:
         for bit in positions:
             self.memory.flip_bit(addr, bit)
         result = self.memory.read(addr)
-        # Uncorrectable wins: a detected word raises a machine check, so
-        # the data bytes are never consumed — even when the garbage that
-        # came back happens to equal golden (2 flips in one check byte).
-        if result.uncorrectable:
-            outcome = "detected"
-        elif result.data == self.golden[addr]:
-            outcome = "corrected" if result.corrected else "masked"
-        else:
-            outcome = "silent"
+        outcome = classify_readback(
+            result.data, self.golden[addr], result.corrected, result.uncorrectable
+        )
         self.stats.record(flips, outcome)
         # Restore the pristine image so trials stay independent.
         self.memory.contents[addr] = pristine
@@ -151,11 +165,10 @@ class FaultInjector:
                 corrected = result.corrected_words > 0
                 uncorrectable = result.uncorrectable
                 self.memory._count_read(corrected, uncorrectable, addr)
-            if uncorrectable:
-                outcome = "detected"
-            elif result.data == self.golden[addr]:
-                outcome = "corrected" if corrected else "masked"
-            else:
-                outcome = "silent"
-            self.stats.record(flips, outcome)
+            self.stats.record(
+                flips,
+                classify_readback(
+                    result.data, self.golden[addr], corrected, uncorrectable
+                ),
+            )
         return self.stats

@@ -41,6 +41,8 @@ import zlib
 from pathlib import Path
 from typing import IO, Dict, List, NamedTuple, Optional, Union
 
+from repro._durable import fsync_dir, make_dirs
+
 __all__ = ["MAGIC", "ShardWAL", "WalRecord"]
 
 #: Frame magic; bump when the record layout changes.
@@ -59,20 +61,6 @@ class WalRecord(NamedTuple):
 def _checksum(seq: int, request_id: int, addr: int, data: bytes) -> str:
     head = b"%d|%d|%d|" % (seq, request_id, addr)
     return f"{zlib.crc32(data, zlib.crc32(head)):08x}"
-
-
-def _fsync_dir(path: Path) -> None:
-    """Make a directory's entries durable (a new or renamed file's name).
-
-    fsync on a file persists its data, not the directory entry naming
-    it; until the parent directory is synced, a power loss can drop a
-    freshly created or renamed file outright.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _encode(record: WalRecord) -> str:
@@ -176,13 +164,14 @@ class ShardWAL:
         if not self._buffer:
             return 0
         if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            # A wal_dir created here is synced into its own parent.
+            make_dirs(self.path.parent)
             self._fh = self.path.open("a", encoding="utf-8")
             # The journal's name is directory metadata that fdatasync does
             # not cover.  Sync it once per open, so a journal created here
             # (or by a predecessor that died before syncing it) cannot
             # vanish together with the writes acked into it.
-            _fsync_dir(self.path.parent)
+            fsync_dir(self.path.parent)
         if self._tail_torn:
             # Terminate a torn tail so the new records start clean.
             self._fh.write("\n")
@@ -240,14 +229,14 @@ class ShardWAL:
         never a mix, and a power loss cannot revert the rename.
         """
         self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.path.parent)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with tmp.open("w", encoding="utf-8") as fh:
             fh.write("".join(_encode(record) + "\n" for record in live))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        _fsync_dir(self.path.parent)
+        fsync_dir(self.path.parent)
         self._tail_torn = False
         self.torn_lines = 0
         self.compactions += 1

@@ -33,10 +33,11 @@ class SystemConfig:
     #: overlap only up to this many at a time; 0 means unlimited (the
     #: pure interval-simulation assumption).
     mshrs: int = 16
-    #: Replay traces through the batched (struct-of-arrays) engine.  The
-    #: batch engine is bit-exact with the scalar loop — same stats, same
-    #: timings, same trace events (docs/kernels.md, "Batched epoch
-    #: replay") — it only changes how fast the answer arrives.
+    #: Content model of the replay loop: ``False`` stores real bytes (the
+    #: reference), ``True`` stores only their classification (the
+    #: content oracle).  Both give the same stats, timings and trace
+    #: events (docs/kernels.md, "Epoch replay") — the oracle only
+    #: changes how fast the answer arrives.
     use_batch: bool = False
 
     @property

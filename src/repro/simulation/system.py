@@ -1,4 +1,4 @@
-"""The multi-core interval simulator.
+"""The multi-core interval simulator: one wave-deferred epoch loop.
 
 Each core replays its epoch trace: run ``instructions`` at the perfect-L3
 IPC, then issue the epoch's miss group.  Misses first probe the shared LLC;
@@ -21,21 +21,57 @@ back to memory keeps the benchmark's compressibility statistics fresh.
 Cores are interleaved by simulated time (the core furthest behind runs
 next), which serialises DRAM contention realistically without an event
 queue.
+
+Wave-deferred DRAM timing
+    Within one MSHR wave every miss issues at the same ``issue_at`` and no
+    LLC/controller *decision* depends on DRAM timings — only the epoch's
+    stall does.  So the loop does all cache and controller bookkeeping
+    inline, merely *recording* the wave's DRAM requests in issue order,
+    and services the whole wave at its boundary through
+    :meth:`~repro.memory.dram.DRAMSystem.service_wave`, which carries bank
+    state across waves.  Trace events are buffered in issue order and
+    flushed after timing resolves, so deferral never reorders or re-times
+    an event.
+
+Content models
+    ``SystemConfig.use_batch`` picks what the loop stores:
+
+    * real bytes (``False``, the reference): :class:`RealContent`
+      generates every block, the controller's ``write`` / ``read`` encode
+      and decode it, and LLC lines hold the data;
+    * the classification oracle (``True``):
+      :class:`~repro.simulation.batch.ContentOracle` classifies contents
+      (compressible / alias) without keeping them, the controller's
+      ``fast_write`` / ``fast_read`` apply only the mode bookkeeping, and
+      LLC lines hold a placeholder.  On the fault-free path
+      ``decode(encode(x)) == x``, so both models produce identical
+      results, stats and trace events (``tests/test_batch_sim.py``,
+      ``tests/test_sim_goldens.py``, ``make sim-parity-smoke``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+import heapq
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.cache.cache import SetAssocCache
-from repro.core.controller import ProtectedMemory
+from repro.core.controller import AccessResult, ProtectedMemory, ProtectionMode
 from repro.reliability.parma import VulnerabilityTracker
 from repro.simulation.config import SystemConfig
 from repro.workloads.blocks import BlockSource
-from repro.workloads.tracegen import Epoch
+from repro.workloads.tracegen import EpochArrays
 
-__all__ = ["CoreResult", "PerfResult", "MultiCoreSystem"]
+if TYPE_CHECKING:
+    from repro.simulation.batch import ContentOracle
+
+__all__ = ["CoreResult", "PerfResult", "MultiCoreSystem", "RealContent"]
+
+#: Stand-in payload of cached ECC metadata blocks (and, under the oracle
+#: content model, of every line): nothing reads those bytes back.
+_PLACEHOLDER = bytes(64)
 
 
 @dataclass
@@ -94,14 +130,53 @@ class PerfResult:
 
 
 class _CoreState:
-    __slots__ = ("epochs", "time_ns", "perfect_ipc", "result", "done")
+    __slots__ = ("epochs", "time_ns", "perfect_ipc", "result")
 
-    def __init__(self, epochs: Iterator[Epoch], perfect_ipc: float) -> None:
+    def __init__(self, epochs: EpochArrays, perfect_ipc: float) -> None:
         self.epochs = epochs
         self.time_ns = 0.0
         self.perfect_ipc = perfect_ipc
         self.result = CoreResult()
-        self.done = False
+
+
+class _Wave:
+    """Deferred state of one MSHR wave (shared ``issue_at``)."""
+
+    __slots__ = ("now_ns", "requests", "misses", "events")
+
+    def __init__(self, now_ns: float) -> None:
+        self.now_ns = now_ns
+        #: DRAM requests in issue order.
+        self.requests: List[Tuple[int, bool]] = []
+        #: Per miss: (data request idx, ecc request idxs, decompress ns,
+        #: deferred "access" event payload or None).
+        self.misses: List[Tuple[int, List[int], float, Optional[dict]]] = []
+        #: Trace events in issue order, flushed after timing resolves.
+        self.events: List[Tuple[str, dict]] = []
+
+
+class RealContent:
+    """The reference content model: real bytes through the full controller."""
+
+    def __init__(
+        self, sources: Sequence[BlockSource], memory: ProtectedMemory
+    ) -> None:
+        self._sources = sources
+        self._write = memory.write
+
+    def prefetch(self, addrs_per_core: Sequence[np.ndarray]) -> None:
+        """Real bytes need no classification up front."""
+
+    def write_version(
+        self, core_index: int, addr: int, version: int, events: list
+    ) -> AccessResult:
+        """Write content ``version`` of ``addr`` from the core's source."""
+        data = self._sources[core_index].block(addr, version)
+        return self._write(addr, data, events)
+
+    def write_line(self, core_index: int, victim, events: list) -> AccessResult:
+        """Write an evicted LLC line's bytes back."""
+        return self._write(victim.addr, victim.data, events)
 
 
 class MultiCoreSystem:
@@ -110,7 +185,7 @@ class MultiCoreSystem:
     def __init__(
         self,
         memory: ProtectedMemory,
-        traces: Sequence[Iterator[Epoch]],
+        traces: Sequence[EpochArrays],
         sources: Sequence[BlockSource],
         perfect_ipcs: Sequence[float],
         config: SystemConfig,
@@ -133,35 +208,30 @@ class MultiCoreSystem:
             _CoreState(trace, ipc) for trace, ipc in zip(traces, perfect_ipcs)
         ]
         self._sources = list(sources)
-        self._versions: dict[int, int] = {}
+        self._versions: Dict[int, int] = {}
+        #: addr -> core whose source generated the current content.
+        self._writer: Dict[int, int] = {}
+        # Bind the content model's calls once, so the loop pays no
+        # dispatch per access.
+        self._real_bytes = not config.use_batch
+        self.content: Union[RealContent, ContentOracle]
+        if self._real_bytes:
+            self.content = RealContent(self._sources, memory)
+            self._read = memory.read
+        else:
+            # Imported on demand: the oracle pulls in the batch kernels.
+            from repro.simulation.batch import ContentOracle
 
-    # -- content management -----------------------------------------------
-
-    def _content(self, core_index: int, addr: int) -> bytes:
-        version = self._versions.get(addr, 0)
-        return self._sources[core_index].block(addr, version)
-
-    def _populate(self, core_index: int, addr: int, now_ns: float) -> None:
-        """First touch: materialise the block in DRAM."""
-        version = self._versions.setdefault(addr, 0)
-        data = self._sources[core_index].block(addr, version)
-        result = self.memory.write(addr, data)
-        while not result.accepted:
-            # The freshly generated block is an incompressible alias (odds
-            # ~2e-7): nudge the version until a storable image appears.
-            version += 1
-            self._versions[addr] = version
-            data = self._sources[core_index].block(addr, version)
-            result = self.memory.write(addr, data)
-        if self.tracker is not None:
-            # The data existed in DRAM since program start: stamp t=0 so
-            # its residency before this first read counts as vulnerable.
-            self.tracker.on_write(addr, 0.0, self._protected(result))
-        # Population is warm-up traffic; it does not occupy the DRAM model.
+            self.content = ContentOracle(
+                self._sources, memory, self._versions, self._writer
+            )
+            self._read = memory.fast_read
+        self._write_version = self.content.write_version
+        self._write_line = self.content.write_line
+        self._cycle_ns = config.cycle_ns
+        self._obs_enabled = self.obs.enabled
 
     def _protected(self, write_result) -> bool:
-        from repro.core.controller import ProtectionMode
-
         mode = self.memory.mode
         if mode is ProtectionMode.UNPROTECTED:
             return False
@@ -169,46 +239,231 @@ class MultiCoreSystem:
             return write_result.compressed
         return True  # COP-ER / ECC-Region / ECC-DIMM protect everything
 
+    # -- main loop -----------------------------------------------------------
+
+    def run(self) -> PerfResult:
+        """Replay all traces to completion; cores interleave by time."""
+        cores = self._cores
+        with self.obs.profile.phase("system.run"), self.obs.trace.span(
+            "system.run", cores=len(cores)
+        ):
+            self.content.prefetch([core.epochs.addrs for core in cores])
+            plans = [
+                (
+                    core.epochs.instructions.tolist(),
+                    core.epochs.starts.tolist(),
+                    core.epochs.addrs.tolist(),
+                    core.epochs.is_store.tolist(),
+                )
+                for core in cores
+            ]
+            cursors = [0] * len(cores)
+            heap = [(0.0, i) for i in range(len(cores))]
+            heapq.heapify(heap)
+            while heap:
+                _, index = heapq.heappop(heap)
+                instructions, starts, addrs, stores = plans[index]
+                cursor = cursors[index]
+                if cursor >= len(instructions):
+                    continue
+                cursors[index] = cursor + 1
+                self._run_epoch(
+                    index,
+                    instructions[cursor],
+                    addrs,
+                    stores,
+                    starts[cursor],
+                    starts[cursor + 1],
+                )
+                heapq.heappush(heap, (cores[index].time_ns, index))
+
+        self.publish_metrics()
+        return self._perf_result()
+
+    def _run_epoch(
+        self,
+        core_index: int,
+        instructions: int,
+        addrs: List[int],
+        stores: List[bool],
+        lo: int,
+        hi: int,
+    ) -> None:
+        core = self._cores[core_index]
+        config = self.config
+        compute_ns = (instructions / core.perfect_ipc) * config.cycle_ns
+        now_ns = core.time_ns + compute_ns
+
+        stall_until = now_ns
+        outstanding = 0
+        mshrs = config.mshrs
+        lookup = self.llc.lookup
+        versions = self._versions
+        versions_get = versions.get
+        writer = self._writer
+        real_bytes = self._real_bytes
+        source = self._sources[core_index]
+        miss = self._miss
+        wave = _Wave(now_ns)
+        for i in range(lo, hi):
+            addr = addrs[i]
+            line = lookup(addr)
+            if line is not None:
+                if stores[i]:
+                    version = versions_get(addr, 0) + 1
+                    versions[addr] = version
+                    writer[addr] = core_index
+                    if real_bytes:
+                        line.data = source.block(addr, version)
+                    line.dirty = True
+                continue
+            # MSHR limit: once a full wave of misses is outstanding, the
+            # next wave issues when the current one has drained.
+            if mshrs and outstanding >= mshrs:
+                stall_until = self._flush_wave(wave, stall_until)
+                outstanding = 0
+                wave = _Wave(stall_until)
+            miss(core_index, addr, stores[i], wave)
+            outstanding += 1
+        stall_until = self._flush_wave(wave, stall_until)
+
+        core.time_ns = stall_until
+        core.result.instructions += instructions
+        core.result.compute_ns += compute_ns
+        core.result.stall_ns += stall_until - now_ns
+        core.result.epochs += 1
+
+    # -- miss path -----------------------------------------------------------
+
+    def _miss(
+        self, core_index: int, addr: int, is_store: bool, wave: _Wave
+    ) -> None:
+        """Service one LLC miss; its timing resolves at the wave flush."""
+        memory = self.memory
+        llc = self.llc
+        now_ns = wave.now_ns
+        requests = wave.requests
+        if addr not in memory.contents:
+            self._populate(core_index, addr, wave)
+        read = self._read(addr, wave.events)
+        if self.tracker is not None:
+            self.tracker.on_read(addr, now_ns)
+
+        data_idx = len(requests)
+        requests.append((addr, False))
+        ecc_idxs: List[int] = []
+        for ecc_addr in read.ecc_reads:
+            if llc.lookup(ecc_addr) is None:
+                ecc_idxs.append(len(requests))
+                requests.append((ecc_addr, False))
+                eviction = llc.insert(ecc_addr, _PLACEHOLDER)
+                if eviction is not None:
+                    self._handle_eviction(core_index, eviction, wave)
+
+        payload: Optional[dict] = None
+        if self._obs_enabled:
+            self.obs.profile.count("misses")
+            payload = {
+                "t_ns": round(now_ns, 3),
+                "core": core_index,
+                "addr": addr,
+                "store": is_store,
+                "mode": memory.mode.value,
+                "compressed": read.compressed,
+                "uncompressed": read.was_uncompressed,
+                "corrected": read.corrected,
+                "ecc_blocks": len(read.ecc_reads),
+                "row_hit": None,  # patched at wave flush
+                "latency_ns": None,  # patched at wave flush
+            }
+            wave.events.append(("access", payload))
+        wave.misses.append(
+            (
+                data_idx,
+                ecc_idxs,
+                read.decompress_cycles * self._cycle_ns,
+                payload,
+            )
+        )
+
+        data = read.data
+        if is_store:
+            # The store rewrites the line: advance the content version.
+            version = self._versions.get(addr, 0) + 1
+            self._versions[addr] = version
+            self._writer[addr] = core_index
+            if self._real_bytes:
+                data = self._sources[core_index].block(addr, version)
+        eviction = llc.insert(
+            addr,
+            data,
+            dirty=is_store,
+            was_uncompressed=read.was_uncompressed,
+        )
+        if eviction is not None:
+            self._handle_eviction(core_index, eviction, wave)
+
+    def _populate(self, core_index: int, addr: int, wave: _Wave) -> None:
+        """First touch: materialise the block in DRAM."""
+        versions = self._versions
+        version = versions.setdefault(addr, 0)
+        result = self._write_version(core_index, addr, version, wave.events)
+        while not result.accepted:
+            # The freshly generated block is an incompressible alias (odds
+            # ~2e-7): nudge the version until a storable image appears.
+            version += 1
+            versions[addr] = version
+            result = self._write_version(core_index, addr, version, wave.events)
+        self._writer[addr] = core_index
+        if self.tracker is not None:
+            # The data existed in DRAM since program start: stamp t=0 so
+            # its residency before this first read counts as vulnerable.
+            self.tracker.on_write(addr, 0.0, self._protected(result))
+        # Population is warm-up traffic; it does not occupy the DRAM model.
+
     # -- writeback path ------------------------------------------------------
 
-    def _writeback(self, core_index: int, victim, now_ns: float):
+    def _writeback(self, core_index: int, victim, wave: _Wave):
         """Write one dirty (or alias-pinned) LLC victim back to memory.
 
         Returns the follow-up :class:`Eviction` produced when a rejected
         (incompressible-alias) writeback re-pins its line — that insertion
         can push *another* line out, which the caller must handle in turn.
         """
-        result = self.memory.write(victim.addr, victim.data)
-        if self.obs.enabled:
+        addr = victim.addr
+        result = self._write_line(core_index, victim, wave.events)
+        if self._obs_enabled:
             self.obs.profile.count("writebacks")
-            self.obs.trace.emit(
-                "writeback",
-                t_ns=round(now_ns, 3),
-                core=core_index,
-                addr=victim.addr,
-                accepted=result.accepted,
-                compressed=result.compressed,
-                ecc_blocks=len(result.ecc_writes),
+            wave.events.append(
+                (
+                    "writeback",
+                    {
+                        "t_ns": round(wave.now_ns, 3),
+                        "core": core_index,
+                        "addr": addr,
+                        "accepted": result.accepted,
+                        "compressed": result.compressed,
+                        "ecc_blocks": len(result.ecc_writes),
+                    },
+                )
             )
         if not result.accepted:
             # Incompressible alias: it must stay cached, pinned.  The
             # re-pin may displace another line — hand its eviction back
             # instead of silently dropping a dirty writeback.
-            return self.llc.insert(
-                victim.addr, victim.data, dirty=True, alias=True
-            )
+            return self.llc.insert(addr, victim.data, dirty=True, alias=True)
         if self.tracker is not None:
-            self.tracker.on_write(victim.addr, now_ns, self._protected(result))
-        self.dram.access(victim.addr, True, now_ns)
+            self.tracker.on_write(addr, wave.now_ns, self._protected(result))
+        wave.requests.append((addr, True))
         for ecc_addr in result.ecc_writes:
             line = self.llc.peek(ecc_addr)
             if line is not None:
                 line.dirty = True
             else:
-                self.dram.access(ecc_addr, True, now_ns)
+                wave.requests.append((ecc_addr, True))
         return None
 
-    def _handle_eviction(self, core_index: int, eviction, now_ns: float) -> None:
+    def _handle_eviction(self, core_index: int, eviction, wave: _Wave) -> None:
         # Alias re-pins can chain: each rejected writeback re-pins into a
         # set that may evict another dirty line.  Every link pins one more
         # way (pinned lines are never victims; a fully pinned set spills
@@ -228,140 +483,41 @@ class MultiCoreSystem:
             if self.memory.is_metadata_addr(victim.addr):
                 # Dirty ECC metadata block: plain DRAM write, no re-encode.
                 if victim.dirty:
-                    self.dram.access(victim.addr, True, now_ns)
+                    wave.requests.append((victim.addr, True))
             elif victim.dirty or victim.alias:
-                eviction = self._writeback(core_index, victim, now_ns)
+                eviction = self._writeback(core_index, victim, wave)
 
-    # -- miss path ---------------------------------------------------------------
+    # -- wave flush ----------------------------------------------------------
 
-    def _miss(
-        self, core_index: int, addr: int, is_store: bool, now_ns: float
-    ) -> float:
-        """Service one LLC miss; returns the time its data is usable."""
-        if addr not in self.memory.contents:
-            self._populate(core_index, addr, now_ns)
-        read = self.memory.read(addr)
-        if self.tracker is not None:
-            self.tracker.on_read(addr, now_ns)
-
-        data_timing = self.dram.access(addr, False, now_ns)
-        usable_ns = data_timing.complete_ns
-
-        for ecc_addr in read.ecc_reads:
-            if self.llc.lookup(ecc_addr) is None:
-                ecc_timing = self.dram.access(ecc_addr, False, now_ns)
-                usable_ns = max(usable_ns, ecc_timing.complete_ns)
-                eviction = self.llc.insert(ecc_addr, bytes(64))
-                self._handle_eviction(core_index, eviction, now_ns)
-
-        usable_ns += read.decompress_cycles * self.config.cycle_ns
-
+    def _flush_wave(self, wave: _Wave, stall_until: float) -> float:
+        """Service the wave's DRAM requests and resolve deferred timing."""
+        if wave.requests:
+            _starts, completes, row_hits = self.dram.service_wave(
+                wave.requests, wave.now_ns
+            )
+        else:
+            completes, row_hits = [], []
+        now_ns = wave.now_ns
+        metrics = self.obs.metrics
+        for data_idx, ecc_idxs, decompress_ns, payload in wave.misses:
+            usable = completes[data_idx]
+            for idx in ecc_idxs:
+                complete = completes[idx]
+                if complete > usable:
+                    usable = complete
+            usable += decompress_ns
+            if usable > stall_until:
+                stall_until = usable
+            if payload is not None:
+                latency_ns = usable - now_ns
+                metrics.observe("system.miss_latency_ns", latency_ns)
+                payload["row_hit"] = row_hits[data_idx]
+                payload["latency_ns"] = round(latency_ns, 3)
         if self.obs.enabled:
-            latency_ns = usable_ns - now_ns
-            self.obs.profile.count("misses")
-            self.obs.metrics.observe("system.miss_latency_ns", latency_ns)
-            self.obs.trace.emit(
-                "access",
-                t_ns=round(now_ns, 3),
-                core=core_index,
-                addr=addr,
-                store=is_store,
-                mode=self.memory.mode.value,
-                compressed=read.compressed,
-                uncompressed=read.was_uncompressed,
-                corrected=read.corrected,
-                ecc_blocks=len(read.ecc_reads),
-                row_hit=data_timing.row_hit,
-                latency_ns=round(latency_ns, 3),
-            )
-
-        data = read.data
-        if is_store:
-            # The store rewrites the line: advance the content version.
-            self._versions[addr] = self._versions.get(addr, 0) + 1
-            data = self._content(core_index, addr)
-        eviction = self.llc.insert(
-            addr,
-            data,
-            dirty=is_store,
-            was_uncompressed=read.was_uncompressed,
-        )
-        self._handle_eviction(core_index, eviction, now_ns)
-        return usable_ns
-
-    # -- main loop -----------------------------------------------------------------
-
-    def _run_epoch(self, core_index: int, epoch: Epoch) -> None:
-        core = self._cores[core_index]
-        compute_ns = (
-            epoch.instructions / core.perfect_ipc
-        ) * self.config.cycle_ns
-        now_ns = core.time_ns + compute_ns
-
-        stall_until = now_ns
-        issue_at = now_ns
-        outstanding = 0
-        for access in epoch.accesses:
-            line = self.llc.lookup(access.addr)
-            if line is not None:
-                if access.is_store:
-                    self._versions[access.addr] = (
-                        self._versions.get(access.addr, 0) + 1
-                    )
-                    line.data = self._content(core_index, access.addr)
-                    line.dirty = True
-                continue
-            # MSHR limit: once a full wave of misses is outstanding, the
-            # next wave issues when the current one has drained.
-            if self.config.mshrs and outstanding >= self.config.mshrs:
-                issue_at = stall_until
-                outstanding = 0
-            usable = self._miss(
-                core_index, access.addr, access.is_store, issue_at
-            )
-            outstanding += 1
-            stall_until = max(stall_until, usable)
-
-        core.time_ns = stall_until
-        core.result.instructions += epoch.instructions
-        core.result.compute_ns += compute_ns
-        core.result.stall_ns += stall_until - now_ns
-        core.result.epochs += 1
-
-    def run(self) -> PerfResult:
-        """Replay all traces to completion; cores interleave by time.
-
-        With ``config.use_batch`` the replay goes through the batched
-        struct-of-arrays engine (:mod:`repro.simulation.batch`), which is
-        bit-exact with this scalar loop — same stats, timings, and trace
-        events — just faster.
-        """
-        import heapq
-
-        if self.config.use_batch:
-            from repro.simulation.batch import BatchReplay
-
-            BatchReplay(self).replay()
-            self.publish_metrics()
-            return self._perf_result()
-
-        with self.obs.profile.phase("system.run"), self.obs.trace.span(
-            "system.run", cores=len(self._cores)
-        ):
-            heap = [(0.0, i) for i in range(len(self._cores))]
-            heapq.heapify(heap)
-            while heap:
-                _, index = heapq.heappop(heap)
-                core = self._cores[index]
-                epoch = next(core.epochs, None)
-                if epoch is None:
-                    core.done = True
-                    continue
-                self._run_epoch(index, epoch)
-                heapq.heappush(heap, (core.time_ns, index))
-
-        self.publish_metrics()
-        return self._perf_result()
+            trace = self.obs.trace
+            for name, payload in wave.events:
+                trace.emit(name, **payload)
+        return stall_until
 
     def _perf_result(self) -> PerfResult:
         return PerfResult(

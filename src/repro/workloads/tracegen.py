@@ -42,12 +42,11 @@ class Epoch:
 
 @dataclass(frozen=True)
 class EpochArrays:
-    """Struct-of-arrays form of an epoch trace (the batch replay input).
+    """Struct-of-arrays form of an epoch trace (the simulator's input).
 
     The per-object :class:`Epoch`/:class:`Access` stream is pleasant to
-    generate and test against, but replaying it one attribute lookup at a
-    time is what keeps the scalar simulator slow.  This flattens a whole
-    trace into four parallel arrays:
+    read and test against, but replaying it one attribute lookup at a
+    time is slow.  This flattens a whole trace into four parallel arrays:
 
     * ``instructions[e]`` — instruction count of epoch ``e`` (uint64);
     * ``starts`` — epoch-boundary offsets into the access arrays, length
@@ -152,41 +151,17 @@ class TraceGenerator:
             self._cursor = self._rng.randrange(self.footprint_blocks)
         return self._cursor
 
-    def _group_size(self) -> int:
-        """Geometric group size with mean ``mlp`` (at least one miss)."""
-        mean = max(self.profile.mlp, 1.0)
-        p = 1.0 / mean
-        size = 1
-        while self._rng.random() > p:
-            size += 1
-            if size >= 8 * mean:  # tail clamp keeps epochs bounded
-                break
-        return size
-
     def epochs(self, count: int) -> Iterator[Epoch]:
-        """Yield ``count`` epochs."""
-        per_miss_instr = 1000.0 / max(self.profile.mpki, 1e-3)
-        for _ in range(count):
-            size = self._group_size()
-            accesses = tuple(
-                Access(
-                    self.base_addr + self._next_block() * BLOCK_BYTES,
-                    self._rng.random() < self.profile.write_fraction,
-                )
-                for _ in range(size)
-            )
-            instructions = max(1, round(per_miss_instr * size))
-            yield Epoch(instructions, accesses)
+        """Yield ``count`` epochs (the object view of :meth:`epoch_arrays`)."""
+        yield from self.epoch_arrays(count).to_epochs()
 
     def epoch_arrays(self, count: int) -> EpochArrays:
-        """``count`` epochs, flattened straight into struct-of-arrays form.
+        """``count`` epochs in struct-of-arrays form: the one RNG draw loop.
 
-        Consumes the RNG in exactly the order :meth:`epochs` does (group
-        size, then per access: block draw, then store draw), so a
-        generator seeded identically produces the same trace through
-        either method — ``epoch_arrays(n)`` equals
-        ``EpochArrays.from_epochs(epochs(n))`` element for element,
-        without materialising the per-object stream.
+        Per epoch: a geometric group size with mean ``mlp`` (at least one
+        miss, tail clamped at ``8 * mlp`` so epochs stay bounded), then per
+        access a block draw (continue the sequential run with probability
+        ``locality``, else jump) and a store draw.
         """
         profile = self.profile
         per_miss_instr = 1000.0 / max(profile.mpki, 1e-3)
@@ -207,13 +182,13 @@ class TraceGenerator:
         store_append = stores.append
         cursor = self._cursor
         for _ in range(count):
-            size = 1  # _group_size, inlined
+            size = 1
             while rng_random() > p:
                 size += 1
                 if size >= clamp:
                     break
             for _ in range(size):
-                if rng_random() < locality:  # _next_block, inlined
+                if rng_random() < locality:  # as _next_block
                     cursor = (cursor + 1) % footprint
                 else:
                     cursor = randrange(footprint)

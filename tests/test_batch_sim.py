@@ -1,9 +1,10 @@
-"""Scalar/batch parity for the batched epoch-replay engine.
+"""Real-bytes / oracle parity of the simulator's two content models.
 
-The batch engine (:mod:`repro.simulation.batch`) is only allowed to be
-fast — never different.  These tests drive the same traces through the
-scalar ``MultiCoreSystem`` loop and through ``use_batch`` and require
-bit-identical results on every observable surface: ``PerfResult``,
+``MultiCoreSystem`` runs one epoch loop; ``use_batch`` swaps the real-bytes
+content model for the classification oracle
+(:mod:`repro.simulation.batch`), which is only allowed to be fast — never
+different.  These tests drive the same traces through both models and
+require bit-identical results on every observable surface: ``PerfResult``,
 vulnerability report, controller / cache / DRAM stats, metrics snapshot
 and the trace-event stream (wall-clock fields excluded — two runs of
 *anything* disagree on those).
@@ -29,7 +30,7 @@ from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES
 from repro.workloads.tracegen import Access, Epoch, EpochArrays, TraceGenerator
 
-BATCH_SYSTEM = replace(SCALED_SYSTEM, use_batch=True)
+ORACLE_SYSTEM = replace(SCALED_SYSTEM, use_batch=True)
 
 
 def _strip_wall(obj):
@@ -97,8 +98,8 @@ class TestEpochArrays:
     @pytest.mark.parametrize("bench", ["gcc", "lbm", "canneal"])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_epoch_arrays_matches_epochs(self, bench, seed):
-        """``epoch_arrays(n)`` is the same RNG draw sequence as
-        ``epochs(n)`` — identical trace, identical generator state after."""
+        """``epochs(n)`` is the object view of ``epoch_arrays(n)`` —
+        identical trace, identical generator state after."""
         profile = PROFILES[bench]
         via_epochs = TraceGenerator(profile, seed=seed, base_addr=1 << 40)
         direct = TraceGenerator(profile, seed=seed, base_addr=1 << 40)
@@ -113,31 +114,32 @@ class TestEpochArrays:
 class TestBenchmarkParity:
     @pytest.mark.parametrize("mode", list(ProtectionMode))
     def test_every_mode(self, mode):
-        scalar = run_benchmark("gcc", mode, scale=Scale.SMOKE, cores=2)
-        batch = run_benchmark(
-            "gcc", mode, scale=Scale.SMOKE, cores=2, system=BATCH_SYSTEM
+        real = run_benchmark("gcc", mode, scale=Scale.SMOKE, cores=2)
+        oracle = run_benchmark(
+            "gcc", mode, scale=Scale.SMOKE, cores=2, system=ORACLE_SYSTEM
         )
-        assert _outcome_surfaces(scalar) == _outcome_surfaces(batch)
+        assert _outcome_surfaces(real) == _outcome_surfaces(oracle)
 
     @pytest.mark.parametrize("bench", ["lbm", "mcf", "omnetpp", "canneal"])
     def test_memory_intensive_benchmarks(self, bench):
-        scalar = run_benchmark(bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2)
-        batch = run_benchmark(
-            bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2, system=BATCH_SYSTEM
+        real = run_benchmark(bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2)
+        oracle = run_benchmark(
+            bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2, system=ORACLE_SYSTEM
         )
-        assert _outcome_surfaces(scalar) == _outcome_surfaces(batch)
+        assert _outcome_surfaces(real) == _outcome_surfaces(oracle)
 
     def test_mix_parity(self):
         benches = ("gcc", "lbm")
-        scalar = run_mix(benches, ProtectionMode.COP_ER, scale=Scale.SMOKE)
-        batch = run_mix(
-            benches, ProtectionMode.COP_ER, scale=Scale.SMOKE, system=BATCH_SYSTEM
+        real = run_mix(benches, ProtectionMode.COP_ER, scale=Scale.SMOKE)
+        oracle = run_mix(
+            benches, ProtectionMode.COP_ER, scale=Scale.SMOKE, system=ORACLE_SYSTEM
         )
-        assert _outcome_surfaces(scalar) == _outcome_surfaces(batch)
+        assert _outcome_surfaces(real) == _outcome_surfaces(oracle)
 
     def test_metrics_and_trace_events(self):
-        """With observability live, the batch path emits the *same events
-        in the same order* with the same fields (minus wall clock)."""
+        """With observability live, the oracle model emits the *same
+        events in the same order* with the same fields (minus wall
+        clock)."""
 
         def run(system):
             sink = io.StringIO()
@@ -153,14 +155,14 @@ class TestBenchmarkParity:
             obs.trace.flush()
             return _strip_wall(obs.snapshot()), _events(sink.getvalue())
 
-        scalar_metrics, scalar_events = run(SCALED_SYSTEM)
-        batch_metrics, batch_events = run(BATCH_SYSTEM)
-        assert scalar_metrics == batch_metrics
-        assert scalar_events == batch_events
+        real_metrics, real_events = run(SCALED_SYSTEM)
+        oracle_metrics, oracle_events = run(ORACLE_SYSTEM)
+        assert real_metrics == oracle_metrics
+        assert real_events == oracle_events
 
 
 def _direct_pair(bench, mode, cores, epochs, seed):
-    """Two identically seeded systems, scalar and batch, run to completion."""
+    """Two identically seeded systems, real and oracle, run to completion."""
     profile = PROFILES[bench]
     results = []
     for use_batch in (False, True):
@@ -180,11 +182,7 @@ def _direct_pair(bench, mode, cores, epochs, seed):
                 footprint_blocks=footprint,
                 base_addr=core << 40,
             )
-            traces.append(
-                generator.epoch_arrays(epochs)
-                if use_batch
-                else generator.epochs(epochs)
-            )
+            traces.append(generator.epoch_arrays(epochs))
             sources.append(BlockSource(profile, seed=seed + core))
             ipcs.append(profile.perfect_ipc)
         sim = MultiCoreSystem(
@@ -218,7 +216,7 @@ def _direct_pair(bench, mode, cores, epochs, seed):
 )
 def test_differential_random_traces(bench, mode, cores, epochs, seed):
     """Hypothesis differential: random multi-core traces are byte-identical
-    between the scalar loop and the batch engine across every stats
+    between the real-bytes and the oracle content model across every stats
     surface (PerfResult, vulnerability, controller, LLC, DRAM)."""
-    scalar, batch = _direct_pair(bench, mode, cores, epochs, seed)
-    assert scalar == batch
+    real, oracle = _direct_pair(bench, mode, cores, epochs, seed)
+    assert real == oracle

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.address import AddressMapper, DRAMGeometry, MappedAddress
-from repro.memory.dram import DDR3_1600, DRAMConfig, DRAMSystem, DRAMTiming
+from repro.memory.dram import DDR3_1600, DRAMConfig, DRAMSystem, DRAMTiming, PagePolicy
+
+from dram_reference import after_refresh, reference_access
 
 
 class TestGeometry:
@@ -215,12 +217,12 @@ class TestBatchScheduling:
 
     def test_batch_matches_scalar_order_and_timing(self):
         """access_batch through service_wave equals issuing the sorted
-        row-hit-first order through scalar access()."""
+        row-hit-first order through the per-request reference."""
         reference = DRAMSystem()
         batch = DRAMSystem()
         warm = [(i * 64, False) for i in range(6)]
         for addr, write in warm:
-            reference.access(addr, write, 0.0)
+            reference_access(reference, addr, write, 0.0)
         batch.access_batch(warm, 0.0)
         requests = [(i * 64, i % 2 == 0) for i in range(8)]
         order = sorted(
@@ -230,7 +232,7 @@ class TestBatchScheduling:
         expected = [None] * len(requests)
         for i in order:
             addr, write = requests[i]
-            expected[i] = reference.access(addr, write, 1000.0)
+            expected[i] = reference_access(reference, addr, write, 1000.0)
         got = batch.access_batch(requests, 1000.0)
         assert got == expected
 
@@ -249,34 +251,74 @@ class TestTimingValidation:
     def test_zero_trefi_disables_refresh(self):
         timing = DRAMTiming(trefi_ns=0.0, trfc_ns=260.0)
         dram = DRAMSystem(DRAMConfig(timing=timing))
-        assert dram._after_refresh(123.456) == 123.456
+        assert dram.access(0, False, 123.456).start_ns == 123.456
 
     def test_valid_window_accepted(self):
         DRAMTiming(trefi_ns=7800.0, trfc_ns=7799.0)
 
 
 class TestRefreshWindowEdges:
-    """_after_refresh at exactly the window boundaries."""
+    """Refresh push at exactly the window boundaries: the start time of an
+    access issued at ``t`` to an idle bank."""
 
-    def _dram(self):
-        return DRAMSystem(
+    def _start(self, t_ns):
+        dram = DRAMSystem(
             DRAMConfig(timing=DRAMTiming(trefi_ns=1000.0, trfc_ns=100.0))
         )
+        start = dram.access(0, False, t_ns).start_ns
+        assert start == after_refresh(dram.config.timing, t_ns)
+        return start
 
     def test_just_before_window_untouched(self):
-        assert self._dram()._after_refresh(899.999) == 899.999
+        assert self._start(899.999) == 899.999
 
     def test_exactly_on_window_edge_pushed(self):
         # position == trefi - trfc is the first instant *inside* the
         # refresh window: pushed to the next interval boundary.
-        assert self._dram()._after_refresh(900.0) == 1000.0
+        assert self._start(900.0) == 1000.0
 
     def test_inside_window_pushed(self):
-        assert self._dram()._after_refresh(950.0) == 1000.0
+        assert self._start(950.0) == 1000.0
 
     def test_exactly_on_interval_boundary_untouched(self):
         # position == 0: the refresh just finished; commands may start.
-        assert self._dram()._after_refresh(1000.0) == 1000.0
+        assert self._start(1000.0) == 1000.0
 
     def test_later_interval_edge(self):
-        assert self._dram()._after_refresh(2900.0) == 3000.0
+        assert self._start(2900.0) == 3000.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1 << 16),
+            st.booleans(),
+            st.floats(min_value=0.0, max_value=50.0),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    policy=st.sampled_from(list(PagePolicy)),
+    trefi_ns=st.sampled_from([0.0, 300.0, 7800.0]),
+)
+def test_access_matches_per_request_reference(requests, policy, trefi_ns):
+    """Random request streams through ``access`` (one-request waves of the
+    kernel) and through the independent per-request reference leave
+    identical timings, bank state and stats."""
+    config = DRAMConfig(
+        page_policy=policy,
+        timing=DRAMTiming(trefi_ns=trefi_ns, trfc_ns=min(260.0, trefi_ns / 2)),
+    )
+    kernel = DRAMSystem(config)
+    reference = DRAMSystem(config)
+    now = 0.0
+    for block, write, gap in requests:
+        now += gap
+        addr = block * 64
+        assert kernel.access(addr, write, now) == reference_access(
+            reference, addr, write, now
+        )
+    assert kernel.stats == reference.stats
+    assert kernel._bus_free_ns == reference._bus_free_ns
+    assert kernel._act_history == reference._act_history

@@ -94,3 +94,26 @@ class TestCampaign:
         before = dict(memory.contents)
         FailureModeCampaign(memory, golden, seed=7).run(150)
         assert memory.contents == before
+
+    def test_two_flips_in_one_check_byte_are_detected(self):
+        """Regression for the classification order: two flips in one
+        word's check byte leave the data bits intact, so the readback
+        equals golden — but the word is detected-uncorrectable (a machine
+        check), so the trial is ``detected``, not ``survived``."""
+        memory = ProtectedMemory(ProtectionMode.COP)
+        data = bytes(64)
+        assert memory.write(0, data).compressed
+        # Word 0's check byte: stored bits 120..127.
+        pristine = memory.contents[0]
+        memory.flip_bit(0, 120)
+        memory.flip_bit(0, 121)
+        flipped = memory.read(0)
+        assert flipped.data == data and flipped.uncorrectable
+        memory.contents[0] = pristine
+
+        burst = FailureMode("check-byte", 1.0, bits_per_block=2, same_word=True)
+        campaign = FailureModeCampaign(memory, {0: data}, modes=[burst], seed=0)
+        campaign._positions = lambda mode: [120, 121]
+        assert campaign.run_trial(burst) == "detected"
+        outcome = campaign.outcomes["check-byte"]
+        assert (outcome.detected, outcome.survived) == (1, 0)

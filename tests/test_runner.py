@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -126,6 +127,41 @@ class TestResultCache:
         cache = ResultCache(root=tmp_path / "cache")
         run_jobs(smoke_jobs()[:1], workers=1, use_cache=False, cache=cache)
         assert not (tmp_path / "cache").exists()
+
+    def test_store_syncs_entry_before_rename_then_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache entry's bytes are durable before the rename names them;
+        the rename, and every directory the store creates, is synced after."""
+        job = smoke_jobs()[0]
+        (result,) = run_jobs([job], workers=1, use_cache=False)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            events.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        def recording_replace(src, dst, **kwargs):
+            events.append("replace")
+            real_replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        cache = ResultCache(root=tmp_path / "cache")
+        cache.store(job.key(), result)
+        path = cache.path_for(job.key())
+
+        def key(p):
+            stat = os.stat(p)
+            return (stat.st_dev, stat.st_ino)
+
+        created = [p for p in path.parents if tmp_path in p.parents]
+        expected = [key(p.parent) for p in reversed(created)]
+        expected += [key(path), "replace", key(path.parent)]
+        assert events == expected
+        assert cache.load(job.key()) == result
 
     def test_code_salt_changes_invalidate(self, monkeypatch):
         job = smoke_jobs()[0]

@@ -168,6 +168,31 @@ class TestShardWAL:
         assert synced.count(dir_key) == 3
         wal.close()
 
+    def test_commit_syncs_a_wal_dir_it_creates(self, tmp_path, monkeypatch):
+        """Directories the first commit creates are synced into their
+        parents, so a power loss cannot drop the wal_dir with the journal."""
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        wal_dir = tmp_path / "state" / "wal"
+        wal = ShardWAL(wal_dir / "s.wal")
+        wal.append(1, 0, _compressible(b"a"))
+        wal.commit()
+        wal.close()
+
+        def key(path):
+            stat = os.stat(path)
+            return (stat.st_dev, stat.st_ino)
+
+        # Each created directory's parent, top down, then the journal's.
+        assert synced == [key(tmp_path), key(tmp_path / "state"), key(wal_dir)]
+
     def test_cold_start_replays_previous_process(self, tmp_path):
         config = ServiceConfig(shards=1, wal_dir=str(tmp_path))
         shard = Shard(0, config)

@@ -6,10 +6,10 @@ from repro.cache.cache import CacheLine, Eviction
 from repro.core.controller import ProtectedMemory, ProtectionMode
 from repro.reliability.parma import VulnerabilityTracker
 from repro.simulation.config import SCALED_SYSTEM, TABLE1_SYSTEM, SystemConfig
-from repro.simulation.system import MultiCoreSystem, PerfResult
+from repro.simulation.system import MultiCoreSystem, PerfResult, _Wave
 from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES
-from repro.workloads.tracegen import TraceGenerator
+from repro.workloads.tracegen import EpochArrays, TraceGenerator
 
 
 def build_system(
@@ -35,7 +35,7 @@ def build_system(
             footprint_blocks=footprint,
             base_addr=core << 40,
         )
-        traces.append(generator.epochs(epochs))
+        traces.append(generator.epoch_arrays(epochs))
         sources.append(BlockSource(profile, seed=seed + core))
         ipcs.append(profile.perfect_ipc)
     return MultiCoreSystem(memory, traces, sources, ipcs, config, tracker=tracker)
@@ -157,6 +157,43 @@ class TestDataIntegrity:
         assert checked > 0
 
 
+class TestDeferredControllerEvents:
+    def test_corrected_event_precedes_its_access_event(self):
+        """Controller events raised inside a wave (here ``corrected``) go
+        through the wave's buffer, so each lands directly before the
+        ``access`` event of the miss that raised it, never ahead of
+        earlier misses of its wave."""
+        import io
+        import json
+
+        from repro.obs import Observability
+
+        profile = PROFILES["mcf"]
+        sink = io.StringIO()
+        obs = Observability.create(trace_sink=sink)
+        memory = ProtectedMemory(ProtectionMode.ECC_DIMM, obs=obs)
+        generator = TraceGenerator(profile, seed=3, footprint_blocks=2048)
+        trace = generator.epoch_arrays(40)
+        source = BlockSource(profile, seed=3)
+        for addr in set(trace.addrs.tolist()):
+            memory.write(addr, source.block(addr, 0))
+            memory.flip_bit(addr, 0)  # single-bit: SECDED corrects it
+        sim = MultiCoreSystem(
+            memory, [trace], [source], [profile.perfect_ipc],
+            SystemConfig(llc_bytes=128 << 10), obs=obs,
+        )
+        sim.run()
+        obs.trace.flush()
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        corrected = [i for i, e in enumerate(events) if e["kind"] == "corrected"]
+        assert len(corrected) > 10
+        for i in corrected:
+            access = events[i + 1]
+            assert access["kind"] == "access"
+            assert access["addr"] == events[i]["addr"]
+            assert access["corrected"] is True
+
+
 class TestEvictionChains:
     """Alias re-pins must not drop the dirty lines they displace."""
 
@@ -183,7 +220,7 @@ class TestEvictionChains:
         memory = ProtectedMemory(ProtectionMode.COP)
         return MultiCoreSystem(
             memory,
-            [iter(())],
+            [EpochArrays.from_epochs(())],
             [BlockSource(profile, seed=3)],
             [profile.perfect_ipc],
             config,
@@ -207,12 +244,15 @@ class TestEvictionChains:
         # re-pin displaces the LRU line — the dirty one.
         alias_block = self._craft_alias_block(codec4, rng)
         victim = CacheLine(addr=alias_addr, data=alias_block, dirty=True)
-        sim._handle_eviction(0, Eviction(victim), 0.0)
+        wave = _Wave(0.0)
+        sim._handle_eviction(0, Eviction(victim), wave)
+        sim._flush_wave(wave, 0.0)
 
         pinned = sim.llc.peek(alias_addr)
         assert pinned is not None and pinned.alias
         # The displaced dirty line must have reached memory.
         assert sim.memory.read(dirty_addr).data == new_data
+        assert sim.dram.stats.writes == 1
 
     def test_alias_repin_into_nonfull_set_is_quiet(self, codec4, rng):
         """With a free way the re-pin displaces nothing and memory keeps
@@ -220,9 +260,12 @@ class TestEvictionChains:
         sim = self._one_set_system()
         alias_block = self._craft_alias_block(codec4, rng)
         victim = CacheLine(addr=0x80, data=alias_block, dirty=True)
-        sim._handle_eviction(0, Eviction(victim), 0.0)
+        wave = _Wave(0.0)
+        sim._handle_eviction(0, Eviction(victim), wave)
+        sim._flush_wave(wave, 0.0)
         assert sim.llc.peek(0x80).alias
         assert sim.memory.stats.reads == 0
+        assert sim.dram.stats.accesses == 0
 
     def test_chain_guard_trips_on_impossible_loops(self, codec4, rng):
         """The associativity bound turns a broken invariant into a loud
@@ -241,7 +284,7 @@ class TestEvictionChains:
         sim.llc = _EndlessCache()
         victim = CacheLine(addr=0x0, data=alias_block, dirty=True)
         with pytest.raises(RuntimeError, match="eviction chain"):
-            sim._handle_eviction(0, Eviction(victim), 0.0)
+            sim._handle_eviction(0, Eviction(victim), _Wave(0.0))
 
 
 class TestVulnerabilityIntegration:
@@ -304,20 +347,15 @@ class TestDegenerateTraces:
     @pytest.mark.parametrize("use_batch", [False, True])
     def test_empty_trace_run(self, use_batch):
         """A system whose traces hold zero epochs completes with all
-        ratios at 0.0 — on the scalar path and the batch path alike."""
-        from repro.workloads.tracegen import EpochArrays
-
+        ratios at 0.0 — under both content models alike."""
         profile = PROFILES["gcc"]
         config = SystemConfig(
             llc_bytes=128 << 10, footprint_divider=16, use_batch=use_batch
         )
         generator = TraceGenerator(profile, seed=1, footprint_blocks=2048)
-        trace = (
-            generator.epoch_arrays(0) if use_batch else generator.epochs(0)
-        )
         sim = MultiCoreSystem(
             ProtectedMemory(ProtectionMode.COP),
-            [trace],
+            [generator.epoch_arrays(0)],
             [BlockSource(profile, seed=1)],
             [profile.perfect_ipc],
             config,
