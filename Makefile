@@ -1,6 +1,9 @@
 # Convenience targets for the COP reproduction.
 
 PYTHON ?= python
+# Parent of every smoke / bench-trajectory scratch directory; point it
+# elsewhere to run targets concurrently or inside a sandbox.
+SMOKE_DIR ?= /tmp
 
 .PHONY: install test bench results report examples lint obs-smoke par-smoke chaos-smoke kernels-smoke sim-parity-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
 
@@ -43,25 +46,25 @@ lint:
 # the trace JSONL must parse and the embedded metrics snapshot must be
 # non-empty (see docs/observability.md).
 obs-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-obs-results PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-obs-results PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
-		--trace /tmp/cop-obs-trace.jsonl --trace-sample 0.5
+		--trace $(SMOKE_DIR)/cop-obs-trace.jsonl --trace-sample 0.5
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli obs \
-		--metrics /tmp/cop-obs-results/fig12.json \
-		--trace-file /tmp/cop-obs-trace.jsonl --check
+		--metrics $(SMOKE_DIR)/cop-obs-results/fig12.json \
+		--trace-file $(SMOKE_DIR)/cop-obs-trace.jsonl --check
 
 # Determinism gate for the parallel runner: one figure serially and with
 # --jobs 2 into separate results dirs, then byte-compare the artifacts
 # (see docs/parallel-runs.md).
 par-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-par-serial PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-par-serial PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
 		--jobs 1 --no-cache
-	REPRO_RESULTS_DIR=/tmp/cop-par-parallel PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-par-parallel PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
 		--jobs 2 --no-cache
-	diff /tmp/cop-par-serial/fig12.json /tmp/cop-par-parallel/fig12.json
-	diff /tmp/cop-par-serial/fig12.txt /tmp/cop-par-parallel/fig12.txt
+	diff $(SMOKE_DIR)/cop-par-serial/fig12.json $(SMOKE_DIR)/cop-par-parallel/fig12.json
+	diff $(SMOKE_DIR)/cop-par-serial/fig12.txt $(SMOKE_DIR)/cop-par-parallel/fig12.txt
 	@echo "par-smoke: parallel output is byte-identical to serial"
 
 # Fault-tolerance gate: one figure cleanly (serial, uncached), then the
@@ -69,16 +72,16 @@ par-smoke:
 # (REPRO_CHAOS) with timeouts + retries doing the recovering — the two
 # artifact sets must be byte-identical (see docs/resilience.md).
 chaos-smoke:
-	rm -rf /tmp/cop-chaos-clean /tmp/cop-chaos-faulty
-	REPRO_RESULTS_DIR=/tmp/cop-chaos-clean PYTHONPATH=src \
+	rm -rf $(SMOKE_DIR)/cop-chaos-clean $(SMOKE_DIR)/cop-chaos-faulty
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-chaos-clean PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
 		--jobs 1 --no-cache
-	REPRO_RESULTS_DIR=/tmp/cop-chaos-faulty PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-chaos-faulty PYTHONPATH=src \
 		REPRO_CHAOS=crash:0.15,hang:0.1,seed:5 \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
 		--jobs 2 --no-cache --timeout 5 --retries 6
-	diff /tmp/cop-chaos-clean/fig12.json /tmp/cop-chaos-faulty/fig12.json
-	diff /tmp/cop-chaos-clean/fig12.txt /tmp/cop-chaos-faulty/fig12.txt
+	diff $(SMOKE_DIR)/cop-chaos-clean/fig12.json $(SMOKE_DIR)/cop-chaos-faulty/fig12.json
+	diff $(SMOKE_DIR)/cop-chaos-clean/fig12.txt $(SMOKE_DIR)/cop-chaos-faulty/fig12.txt
 	@echo "chaos-smoke: fault-injected run is byte-identical to clean serial"
 
 # Scalar/batch parity gate for the codec kernels: one compressibility
@@ -86,12 +89,12 @@ chaos-smoke:
 # --batch path into separate results dirs, then byte-compare the saved
 # artifacts (see docs/kernels.md).
 kernels-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-kern-scalar PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-kern-scalar PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig9 --scale smoke
-	REPRO_RESULTS_DIR=/tmp/cop-kern-batch PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-kern-batch PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig9 --scale smoke --batch
-	diff /tmp/cop-kern-scalar/fig9.json /tmp/cop-kern-batch/fig9.json
-	diff /tmp/cop-kern-scalar/fig9.txt /tmp/cop-kern-batch/fig9.txt
+	diff $(SMOKE_DIR)/cop-kern-scalar/fig9.json $(SMOKE_DIR)/cop-kern-batch/fig9.json
+	diff $(SMOKE_DIR)/cop-kern-scalar/fig9.txt $(SMOKE_DIR)/cop-kern-batch/fig9.txt
 	@echo "kernels-smoke: batch output is byte-identical to scalar"
 
 # Content-model parity gate for the *simulator*: the full Fig. 11 sweep
@@ -99,12 +102,12 @@ kernels-smoke:
 # oracle (--batch) into separate results dirs, then byte-compare the
 # saved tables (see docs/kernels.md, "Epoch replay").
 sim-parity-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-sim-scalar PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-sim-scalar PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig11 --scale smoke
-	REPRO_RESULTS_DIR=/tmp/cop-sim-batch PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-sim-batch PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig11 --scale smoke --batch
-	diff /tmp/cop-sim-scalar/fig11.json /tmp/cop-sim-batch/fig11.json
-	diff /tmp/cop-sim-scalar/fig11.txt /tmp/cop-sim-batch/fig11.txt
+	diff $(SMOKE_DIR)/cop-sim-scalar/fig11.json $(SMOKE_DIR)/cop-sim-batch/fig11.json
+	diff $(SMOKE_DIR)/cop-sim-scalar/fig11.txt $(SMOKE_DIR)/cop-sim-batch/fig11.txt
 	@echo "sim-parity-smoke: oracle-model output is byte-identical to real-bytes"
 
 # Performance-trajectory smoke: run the fast bench suites twice into a
@@ -112,40 +115,40 @@ sim-parity-smoke:
 # second diffs against it and exercises the regression gate (generous
 # threshold: CI machines are noisy; the gate *mechanism* is what this
 # target smokes — tighter gates belong on dedicated perf hardware).
-# Artifacts land in /tmp/cop-bench-results/BENCH_<suite>.json
+# Artifacts land in $(SMOKE_DIR)/cop-bench-results/BENCH_<suite>.json
 # (see docs/perf-trajectory.md).  The sim suite (real-bytes vs oracle
 # content model at SMALL scale) is heavier, so it runs once; its
 # regression gate is the simgate speedup floor, not the trajectory diff.
 bench-trajectory:
-	rm -rf /tmp/cop-bench-results
-	REPRO_RESULTS_DIR=/tmp/cop-bench-results PYTHONPATH=src \
+	rm -rf $(SMOKE_DIR)/cop-bench-results
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-bench-results PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli bench --scale smoke \
 		--suite kernels --suite runner --suite service --suite lint \
 		--suite sim
-	REPRO_RESULTS_DIR=/tmp/cop-bench-results PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-bench-results PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli bench --scale smoke \
 		--suite kernels --suite runner --suite service --suite lint \
 		--compare --gate 200
-	@test -s /tmp/cop-bench-results/BENCH_kernels.json
-	@test -s /tmp/cop-bench-results/BENCH_runner.json
-	@test -s /tmp/cop-bench-results/BENCH_service.json
-	@test -s /tmp/cop-bench-results/BENCH_lint.json
-	@test -s /tmp/cop-bench-results/BENCH_sim.json
+	@test -s $(SMOKE_DIR)/cop-bench-results/BENCH_kernels.json
+	@test -s $(SMOKE_DIR)/cop-bench-results/BENCH_runner.json
+	@test -s $(SMOKE_DIR)/cop-bench-results/BENCH_service.json
+	@test -s $(SMOKE_DIR)/cop-bench-results/BENCH_lint.json
+	@test -s $(SMOKE_DIR)/cop-bench-results/BENCH_sim.json
 	PYTHONPATH=src $(PYTHON) -m repro.bench.simgate \
-		/tmp/cop-bench-results/BENCH_sim.json --min-speedup 5
+		$(SMOKE_DIR)/cop-bench-results/BENCH_sim.json --min-speedup 5
 	@echo "bench-trajectory: artifacts written, compare + gate exercised"
 
 # Cross-worker tracing gate: the same traced figure serially and with
 # --jobs 4; the merged shard stream must be byte-identical to the
 # serial trace (see docs/perf-trajectory.md and docs/parallel-runs.md).
 trace-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-trace-serial PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-trace-serial PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
-		--trace /tmp/cop-trace-serial.jsonl
-	REPRO_RESULTS_DIR=/tmp/cop-trace-parallel PYTHONPATH=src \
+		--trace $(SMOKE_DIR)/cop-trace-serial.jsonl
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-trace-parallel PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
-		--trace /tmp/cop-trace-parallel.jsonl --jobs 4
-	cmp /tmp/cop-trace-serial.jsonl /tmp/cop-trace-parallel.jsonl
+		--trace $(SMOKE_DIR)/cop-trace-parallel.jsonl --jobs 4
+	cmp $(SMOKE_DIR)/cop-trace-serial.jsonl $(SMOKE_DIR)/cop-trace-parallel.jsonl
 	@echo "trace-smoke: parallel merged trace is byte-identical to serial"
 
 # Concurrency-correctness gate for the service daemon: a small verified
@@ -153,10 +156,10 @@ trace-smoke:
 # byte-identical to a serial replay of the same schedule (responses,
 # stored contents, controller stats, memo counters; docs/service.md).
 service-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-service-smoke PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-service-smoke PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli loadgen --with-server --verify \
 		--service-ops 8000 --tenants 4 --shards 4 --blocks-per-tenant 256
-	@test -s /tmp/cop-service-smoke/service_loadgen.json
+	@test -s $(SMOKE_DIR)/cop-service-smoke/service_loadgen.json
 	@echo "service-smoke: threaded service byte-identical to serial replay"
 
 # Self-healing gate: the same verified TCP loadgen burst with
@@ -166,15 +169,15 @@ service-smoke:
 # schedule (final responses + stored contents; docs/service.md,
 # "Resilience").  Budgeted well under a minute.
 service-chaos-smoke:
-	rm -rf /tmp/cop-chaos-smoke /tmp/cop-chaos-smoke-wal
-	REPRO_RESULTS_DIR=/tmp/cop-chaos-smoke PYTHONPATH=src \
+	rm -rf $(SMOKE_DIR)/cop-chaos-smoke $(SMOKE_DIR)/cop-chaos-smoke-wal
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-chaos-smoke PYTHONPATH=src \
 		REPRO_CHAOS="worker-kill:0.0015,conn-drop:0.01,delay:0.02:5,seed:7" \
 		$(PYTHON) -m repro.experiments.cli loadgen --with-server --verify \
 		--service-ops 16000 --tenants 4 --shards 4 --blocks-per-tenant 256 \
-		--wal-dir /tmp/cop-chaos-smoke-wal --client-retries 8
+		--wal-dir $(SMOKE_DIR)/cop-chaos-smoke-wal --client-retries 8
 	PYTHONPATH=src $(PYTHON) -c "\
 	import json; \
-	rep = json.load(open('/tmp/cop-chaos-smoke/service_loadgen.json')); \
+	rep = json.load(open('$(SMOKE_DIR)/cop-chaos-smoke/service_loadgen.json')); \
 	res = rep['resilience']; \
 	assert rep['parity'] and rep['parity']['verified'], 'parity not verified'; \
 	assert not rep['parity']['strict'], 'chaos run should verify non-strict'; \
@@ -191,18 +194,18 @@ service-chaos-smoke:
 # controller, memo, parity) must be byte-identical to the plain run
 # (see docs/static-analysis.md, "Runtime lock sanitizer").
 race-smoke:
-	rm -rf /tmp/cop-race-plain /tmp/cop-race-sanitized
-	REPRO_RESULTS_DIR=/tmp/cop-race-plain PYTHONPATH=src \
+	rm -rf $(SMOKE_DIR)/cop-race-plain $(SMOKE_DIR)/cop-race-sanitized
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-race-plain PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli loadgen --verify \
 		--service-ops 4000 --tenants 4 --shards 4 --blocks-per-tenant 256
-	REPRO_RESULTS_DIR=/tmp/cop-race-sanitized PYTHONPATH=src \
+	REPRO_RESULTS_DIR=$(SMOKE_DIR)/cop-race-sanitized PYTHONPATH=src \
 		REPRO_SANITIZE=locks \
 		$(PYTHON) -m repro.experiments.cli loadgen --verify \
 		--service-ops 4000 --tenants 4 --shards 4 --blocks-per-tenant 256
 	PYTHONPATH=src $(PYTHON) -c "\
 	import json; \
-	plain = json.load(open('/tmp/cop-race-plain/service_loadgen.json')); \
-	san = json.load(open('/tmp/cop-race-sanitized/service_loadgen.json')); \
+	plain = json.load(open('$(SMOKE_DIR)/cop-race-plain/service_loadgen.json')); \
+	san = json.load(open('$(SMOKE_DIR)/cop-race-sanitized/service_loadgen.json')); \
 	keys = ('schema', 'ops', 'tenants', 'shards', 'window', 'mode', 'admission', 'transport', 'statuses', 'controller', 'memo', 'parity'); \
 	diffs = [k for k in keys if plain[k] != san[k]]; \
 	assert not diffs, f'sanitized run diverged on {diffs}'; \

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.compression.base import BLOCK_BYTES
 from repro.core.codec import COPCodec
 from repro.core.config import COPConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "valid_codeword_probability",
@@ -102,6 +103,8 @@ class AliasCensus:
 
     def add_array(self, blocks: np.ndarray) -> None:
         """Classify a ``(N, 64)`` uint8 array (vectorised path)."""
+        import numpy as np
+
         counts = codeword_counts_bulk(blocks, self.codec)
         values, freq = np.unique(counts, return_counts=True)
         for value, n in zip(values.tolist(), freq.tolist()):

@@ -31,9 +31,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CodeStatus", "DecodeResult", "HsiaoCode", "odd_weight_columns"]
 
@@ -91,7 +92,8 @@ class HsiaoCode:
 
     Encoding and syndrome computation are table-driven (256-entry tables per
     byte position), and a numpy bulk path (:meth:`syndrome_many`) supports
-    the experiment harness, which must classify millions of words.
+    the experiment harness, which must classify millions of words.  The
+    bulk API imports numpy on first use, so scalar users never load it.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -215,6 +217,8 @@ class HsiaoCode:
         return (self.n + 7) // 8
 
     def _np_tables(self) -> np.ndarray:
+        import numpy as np
+
         if self._np_syn_tables is None:
             arr = np.zeros((self.codeword_bytes, 256), dtype=np.uint32)
             for j, table in enumerate(self._syn_tables):
@@ -228,6 +232,8 @@ class HsiaoCode:
         ``words`` is a ``(N, codeword_bytes)`` uint8 array of little-endian
         codewords.  Returns a ``(N,)`` uint32 array of syndromes.
         """
+        import numpy as np
+
         if words.ndim != 2 or words.shape[1] != self.codeword_bytes:
             raise ValueError(
                 f"expected shape (N, {self.codeword_bytes}), got {words.shape}"
@@ -250,6 +256,8 @@ class HsiaoCode:
         return self.k // 8
 
     def _np_tables_enc(self) -> np.ndarray:
+        import numpy as np
+
         if self._np_enc_tables is None:
             arr = np.zeros((len(self._enc_tables), 256), dtype=np.uint32)
             for j, table in enumerate(self._enc_tables):
@@ -265,6 +273,8 @@ class HsiaoCode:
         has).  Returns ``(N, codeword_bytes)`` uint8 little-endian
         codewords, bit-for-bit equal to :meth:`encode` per row.
         """
+        import numpy as np
+
         nbytes = self.data_bytes
         if data.ndim != 2 or data.shape[1] != nbytes:
             raise ValueError(f"expected shape (N, {nbytes}), got {data.shape}")
@@ -286,6 +296,8 @@ class HsiaoCode:
         ``H`` (detected-uncorrectable).  Index 0 (the clean syndrome) also
         maps to ``-1``; callers distinguish clean via the syndrome itself.
         """
+        import numpy as np
+
         if self._np_corr_table is None:
             if self.r > 24:
                 raise ValueError(
@@ -308,6 +320,8 @@ class HsiaoCode:
         ``clean`` is the zero-syndrome mask and ``detected`` marks
         uncorrectable words (left unmodified, like scalar ``decode``).
         """
+        import numpy as np
+
         syndromes = self.syndrome_many(words)
         positions = self.correction_table()[syndromes]
         clean = syndromes == 0

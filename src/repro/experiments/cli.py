@@ -46,44 +46,39 @@ from __future__ import annotations
 
 import argparse
 import json
+from importlib import import_module
 from pathlib import Path
 from typing import Callable
 
-from repro.experiments import (
-    chipkill_ext,
-    fig01_fpc_targets,
-    fig04_msb_shift,
-    fig08_compress_8b,
-    fig09_compress_4b,
-    fig10_error_rate,
-    fig11_performance,
-    fig12_ecc_storage,
-    intext_claims,
-    mixes,
-    power_motivation,
-    sweeps,
-    table3_aliases,
-)
 from repro.experiments.common import Scale
 
 __all__ = ["EXPERIMENTS", "main"]
 
-EXPERIMENTS: dict[str, Callable[[Scale], object]] = {
-    "fig1": fig01_fpc_targets.run,
-    "fig4": fig04_msb_shift.run,
-    "fig8": fig08_compress_8b.run,
-    "fig9": fig09_compress_4b.run,
-    "fig10": fig10_error_rate.run,
-    "fig11": fig11_performance.run,
-    "fig12": fig12_ecc_storage.run,
-    "table3": table3_aliases.run,
-    "intext": intext_claims.run,
-    "power": power_motivation.run,
-    "chipkill": chipkill_ext.run,
-    "mixes": mixes.run,
-    "sweep-latency": sweeps.latency_sweep,
-    "sweep-fit": sweeps.fit_sweep,
+#: Experiment name -> ``module.function`` under :mod:`repro.experiments`.
+#: A harness module is imported only when its experiment runs, so the
+#: other subcommands (``serve`` above all) never load the simulator.
+EXPERIMENTS: dict[str, str] = {
+    "fig1": "fig01_fpc_targets.run",
+    "fig4": "fig04_msb_shift.run",
+    "fig8": "fig08_compress_8b.run",
+    "fig9": "fig09_compress_4b.run",
+    "fig10": "fig10_error_rate.run",
+    "fig11": "fig11_performance.run",
+    "fig12": "fig12_ecc_storage.run",
+    "table3": "table3_aliases.run",
+    "intext": "intext_claims.run",
+    "power": "power_motivation.run",
+    "chipkill": "chipkill_ext.run",
+    "mixes": "mixes.run",
+    "sweep-latency": "sweeps.latency_sweep",
+    "sweep-fit": "sweeps.fit_sweep",
 }
+
+
+def _experiment(name: str) -> Callable[..., object]:
+    """Import the harness behind ``EXPERIMENTS[name]`` and return it."""
+    module, function = EXPERIMENTS[name].rsplit(".", 1)
+    return getattr(import_module(f"repro.experiments.{module}"), function)
 
 
 def _run_obs_command(args) -> int:
@@ -629,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     use_cache = False if args.no_cache else None
     for name in names:
         table = _call_experiment(
-            EXPERIMENTS[name],
+            _experiment(name),
             scale,
             workers=args.jobs,
             use_cache=use_cache,

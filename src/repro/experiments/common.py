@@ -11,7 +11,6 @@ from typing import Iterable, Optional, Sequence
 
 from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES, BenchmarkProfile
-from repro.workloads.tracegen import TraceGenerator
 
 __all__ = [
     "Scale",
@@ -204,6 +203,8 @@ def sample_blocks(
     Mirrors the paper's methodology: compressibility is measured over the
     blocks *accessed* (DRAM traffic), not over a uniform footprint scan.
     """
+    from repro.workloads.tracegen import TraceGenerator
+
     if isinstance(profile, str):
         profile = PROFILES[profile]
     source = BlockSource(profile, seed=seed)

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
+from repro._durable import fsync_dir, make_dirs
 from repro.experiments.common import results_dir
 from repro.obs import get_obs
 
@@ -441,10 +442,17 @@ class CheckpointJournal:
                 self.done.add(key)
 
     def record(self, key: str, label: str = "") -> None:
-        """Durably mark one job complete (idempotent)."""
+        """Durably mark one job complete (idempotent).
+
+        The first record of a new journal also syncs every directory it
+        creates and, after the entry itself, the journal's directory
+        entry, so a power loss cannot drop the whole journal.
+        """
         if key in self.done:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        created = not self.path.exists()
+        if created:
+            make_dirs(self.path.parent)
         line = json.dumps({"key": key, "label": label}, sort_keys=True)
         with self.path.open("a", encoding="utf-8") as fh:
             if self._tail_torn:
@@ -454,6 +462,8 @@ class CheckpointJournal:
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        if created:
+            fsync_dir(self.path.parent)
         self.done.add(key)
 
     def __len__(self) -> int:

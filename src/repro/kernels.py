@@ -17,6 +17,9 @@ and the ``make kernels-smoke`` byte-diff):
     payload reassembly only for the blocks actually classified
     compressed.  Compression/decompression itself stays scalar (the
     schemes are bit-serial by nature); everything around it is numpy.
+    numpy is imported on the first batch call, not with this module, so
+    code that only uses :class:`MemoizedCodec` (the service request
+    path) never loads it.
 
 :class:`MemoizedCodec`
     A content-keyed memo cache in front of a scalar codec.  The codec is
@@ -35,6 +38,7 @@ on the scalar path and what ``HsiaoCode.syndrome_many`` consumes.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -45,8 +49,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro._bits import Bits, int_to_bytes
 from repro.analysis import sanitizer
 from repro.compression.base import BLOCK_BYTES, SCHEME_TAG_BITS
@@ -56,6 +58,9 @@ from repro.compression.rle import RLECompressor
 from repro.compression.txt import TextCompressor
 from repro.core.codec import BlockKind, COPCodec, DecodedBlock, EncodedBlock
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BatchCodec",
@@ -70,6 +75,8 @@ __all__ = [
 
 def blocks_to_array(blocks: Sequence[bytes]) -> np.ndarray:
     """Pack 64-byte blocks into an ``(N, 64)`` uint8 array."""
+    import numpy as np
+
     if not blocks:
         return np.zeros((0, BLOCK_BYTES), dtype=np.uint8)
     joined = b"".join(blocks)
@@ -88,6 +95,8 @@ def array_to_blocks(array: np.ndarray) -> List[bytes]:
 
 
 def _check_array(blocks: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if blocks.ndim != 2 or blocks.shape[1] != BLOCK_BYTES:
         raise ValueError(
             f"expected shape (N, {BLOCK_BYTES}), got {blocks.shape}"
@@ -107,6 +116,8 @@ def _check_array(blocks: np.ndarray) -> np.ndarray:
 
 def _txt_compressible(blocks: np.ndarray, inner_budget: int) -> np.ndarray:
     """TXT: every byte has a clear MSB (and 448 payload bits must fit)."""
+    import numpy as np
+
     if TextCompressor.compressed_bits > inner_budget:
         return np.zeros(blocks.shape[0], dtype=bool)
     return ~(blocks & 0x80).any(axis=1)
@@ -116,6 +127,8 @@ def _msb_compressible(
     blocks: np.ndarray, scheme: MSBCompressor, inner_budget: int
 ) -> np.ndarray:
     """MSB: the compared field matches across all eight 8-byte words."""
+    import numpy as np
+
     if scheme.compressed_bits > inner_budget:
         return np.zeros(blocks.shape[0], dtype=bool)
     # Stored words are little-endian byte slices, matching bytes_to_int.
@@ -137,6 +150,8 @@ def _rle_compressible(
     offset — so one pass over the 32 even offsets with a carry flag per
     row reproduces the greedy scan.
     """
+    import numpy as np
+
     min_free = scheme.min_free_bits
     count = blocks.shape[0]
     freed = np.zeros(count, dtype=np.int64)
@@ -166,6 +181,8 @@ class BatchCodec:
     """
 
     def __init__(self, codec: Optional[COPCodec] = None) -> None:
+        import numpy as np
+
         self.codec = codec or COPCodec()
         config = self.codec.config
         self.config = config
@@ -196,6 +213,8 @@ class BatchCodec:
 
         Returns an ``(N,)`` int64 array.
         """
+        import numpy as np
+
         words = self._words_of(stored)
         counts = np.zeros(stored.shape[0], dtype=np.int64)
         for index in range(self._num_words):
@@ -216,6 +235,8 @@ class BatchCodec:
         :class:`CombinedCompressor`) are evaluated with array predicates;
         any other compressor falls back to the scalar probe per row.
         """
+        import numpy as np
+
         _check_array(blocks)
         compressor = self.codec.compressor
         budget = self.config.capacity_bits
@@ -252,6 +273,8 @@ class BatchCodec:
         hash-mask application and packing are vectorised across the
         compressible rows.
         """
+        import numpy as np
+
         _check_array(blocks)
         capacity_bits = self.config.capacity_bits
         payload_bytes = self._num_words * self._data_bytes

@@ -10,9 +10,10 @@ channel (row-buffer locality) — the usual open-page-friendly layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DRAMGeometry", "MappedAddress", "AddressMapper"]
 
@@ -107,6 +108,8 @@ class AddressMapper:
         ``map(addr)`` (all field sizes are exact integers, so the numpy
         floor divisions reproduce the scalar arithmetic bit for bit).
         """
+        import numpy as np
+
         block = (
             addrs.astype(np.int64) // self.geometry.block_bytes
         ) % self.geometry.total_blocks

@@ -9,9 +9,19 @@ whole-row failures; single-column and other modes "will generally corrupt
 only one bit per block".
 
 This module injects that mix through the controller stack so the
-modelling argument can be checked mechanically: COP and an ECC DIMM fail
-on exactly the same modes, which is why the paper's single-bit model is a
-fair basis for comparing them.
+modelling argument can be checked mechanically.  The claim it checks
+holds over the Sridharan mix as modelled here: COP (on the blocks it
+stores compressed) and an ECC DIMM both survive the single-bit and
+single-column modes, and neither survives a same-word multi-bit burst or
+a row failure (six bits scattered per block; an ECC DIMM survives only
+the rare event that puts one flip in each (72,64) word).  That is why the
+paper's single-bit model is a fair basis for comparing them.
+
+The claim does not extend to every multi-bit pattern.  Two flips in
+*different* 128-bit words of a compressed COP block read back silent:
+both words fail their syndrome check, the valid-code-word count drops
+below COP's 3-of-4 threshold, and the block is misread as raw.  An ECC
+DIMM corrects the same two flips, one per (72,64) word.
 """
 
 from __future__ import annotations

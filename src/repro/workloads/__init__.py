@@ -17,6 +17,9 @@ land near the paper's per-benchmark values; all downstream experiments
 then exercise the real code paths with faithful input statistics.
 """
 
+from importlib import import_module
+from typing import Any
+
 from repro.workloads.blocks import BlockSource
 from repro.workloads.generators import COMPONENTS, generate_block
 from repro.workloads.profiles import (
@@ -27,7 +30,23 @@ from repro.workloads.profiles import (
     BenchmarkProfile,
     profiles_in_suite,
 )
-from repro.workloads.tracegen import Access, Epoch, TraceGenerator
+
+# Trace synthesis imports numpy; load it on first attribute access so
+# content generation alone (the service's load generator) stays light
+# (PEP 562).
+_LAZY = {
+    "Access": "repro.workloads.tracegen",
+    "Epoch": "repro.workloads.tracegen",
+    "TraceGenerator": "repro.workloads.tracegen",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(module), name)
+
 
 __all__ = [
     "COMPONENTS",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.controller import ProtectedMemory, ProtectionMode
+from repro.reliability.injection import classify_readback
 from repro.reliability.failure_modes import (
     SRIDHARAN_MIX,
     FailureMode,
@@ -117,3 +118,28 @@ class TestCampaign:
         assert campaign.run_trial(burst) == "detected"
         outcome = campaign.outcomes["check-byte"]
         assert (outcome.detected, outcome.survived) == (1, 0)
+
+    def test_cross_word_pair_is_silent_on_cop_but_corrected_on_ecc_dimm(self):
+        """Where the equal-failure-modes claim stops holding: one flip in
+        each of two 128-bit words of a compressed COP block leaves two
+        valid code words, below the 3-of-4 threshold, so COP misreads the
+        block as raw data; an ECC DIMM corrects each flip in its own
+        (72,64) word."""
+        data = bytes(64)
+        outcomes = {}
+        for mode in (ProtectionMode.COP, ProtectionMode.ECC_DIMM):
+            memory = ProtectedMemory(mode)
+            written = memory.write(0, data)
+            assert written.accepted
+            if mode is ProtectionMode.COP:
+                assert written.compressed
+            memory.flip_bit(0, 5)  # 128-bit word 0, 64-bit word 0
+            memory.flip_bit(0, 133)  # 128-bit word 1, 64-bit word 2
+            result = memory.read(0)
+            outcomes[mode] = classify_readback(
+                result.data, data, result.corrected, result.uncorrectable
+            )
+        assert outcomes == {
+            ProtectionMode.COP: "silent",
+            ProtectionMode.ECC_DIMM: "corrected",
+        }

@@ -18,6 +18,7 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.obs.metrics import DEFAULT_PERCENTILES, Histogram
+from repro.obs import profile as profile_module
 from repro.obs.profile import NullProfiler, Profiler
 from repro.obs.trace import TraceShardSpec, derive_shard_seed
 
@@ -332,6 +333,28 @@ class TestProfiler:
         snap = registry.snapshot()
         assert snap["counters"]["profile.misses"] == 3
         assert "profile.run.seconds" in snap["gauges"]
+
+    def test_phases_accumulate_exact_ns_on_the_perf_clock(self, monkeypatch):
+        """Integer ns sums: 0.1 s + 0.2 s of phase time reads exactly 0.3 s
+        (float accumulation would give 0.30000000000000004)."""
+        ticks = iter([10, 100_000_010, 200_000_000, 400_000_000, 500, 2_000])
+        monkeypatch.setattr(profile_module, "now_ns", lambda: next(ticks))
+        profiler = Profiler()
+        with profiler.phase("run"):
+            pass
+        with profiler.phase("run"):
+            pass
+        with profiler.phase("tail"):
+            pass
+        assert profiler.phase_ns == {"run": 300_000_000, "tail": 1_500}
+        assert profiler.phase_seconds == {"run": 0.3, "tail": 1.5e-6}
+        assert profiler.summary()["phases"]["run"] == {"calls": 2, "seconds": 0.3}
+        registry = MetricsRegistry()
+        profiler.publish(registry)
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["profile.run.seconds"] == 0.3
+        assert gauges["profile.tail.seconds"] == 1.5e-6
+        assert "run                           2       0.3000" in profiler.report()
 
     def test_null_profiler_noop(self):
         profiler = NullProfiler()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import signal
 import time
 
@@ -281,6 +282,34 @@ class TestCheckpointJournal:
         assert reloaded.torn_lines == 1
         reloaded.record("k3")  # still appendable after a torn tail
         assert CheckpointJournal(path).done == {"k1", "k3"}
+
+    def test_record_syncs_new_journal_into_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A new journal's entry is durable before its name is; every
+        directory ``record`` creates, and then the name, is synced once."""
+        events = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            events.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = tmp_path / "results" / ".journal" / "sweep.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record("k1")
+        journal.record("k2")
+
+        def key(p):
+            stat = os.stat(p)
+            return (stat.st_dev, stat.st_ino)
+
+        created = [path.parent.parent, path.parent]
+        expected = [key(p.parent) for p in created]
+        expected += [key(path), key(path.parent), key(path)]
+        assert events == expected
 
     def test_for_keys_is_order_insensitive(self, tmp_path):
         a = CheckpointJournal.for_keys(["k1", "k2"], root=tmp_path)
