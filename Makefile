@@ -11,20 +11,20 @@ install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Regenerate every table/figure (REPRO_SCALE=smoke|small|full).
 results:
-	$(PYTHON) -m repro.experiments.cli all
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli all
 
 report:
-	$(PYTHON) -m repro.experiments.cli report
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli report
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Static analysis gate: the repo-specific AST linter (eleven invariant
 # rules, see docs/static-analysis.md) always runs; mypy and ruff run

@@ -1,15 +1,28 @@
 """Tests for the protection-mode memory controller."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.codec import COPCodec
 from repro.core.config import COPConfig
 from repro.core.controller import (
     BlockNotWrittenError,
     ControllerStats,
     ProtectedMemory,
     ProtectionMode,
+)
+from repro.obs import Observability
+
+from strategies import (
+    alias_boundary_blocks,
+    raw_blocks,
+    small_int_blocks,
+    sparse_blocks,
+    text_blocks,
 )
 
 
@@ -292,3 +305,103 @@ class TestDecompressLatencyModel:
         result = memory.read(0)
         assert result.was_uncompressed
         assert result.decompress_cycles == memory.config.decompress_latency
+
+
+#: A small address set, so writes keep landing on resident blocks: COP-ER
+#: entries get reused, retired and re-allocated and MemZip's status flips.
+#: The last address is never written (reads of it must miss).
+_WRITE_ADDRS = [0, 64, 128]
+_READ_ADDRS = _WRITE_ADDRS + [4096]
+_CLASSIFIER = COPCodec(COPConfig.four_byte())
+
+
+
+@st.composite
+def _noisy_boundary_blocks(draw) -> bytes:
+    """``alias_boundary_blocks`` with the invalid code words redrawn as noise.
+
+    Hypothesis draws those words small, which leaves almost every block
+    compressible; noise keeps the block at the alias boundary (same valid
+    words) and makes it incompressible, so COP must reject or store it
+    raw and COP-ER must de-alias its pointer.
+    """
+    block = bytearray(draw(alias_boundary_blocks()))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    code = _CLASSIFIER.code
+    bits = _CLASSIFIER.config.codeword_bits
+    step = bits // 8
+    for slot, mask in enumerate(_CLASSIFIER.masks):
+        span = slice(slot * step, (slot + 1) * step)
+        if code.syndrome(int.from_bytes(block[span], "little") ^ mask) == 0:
+            continue
+        noise = rng.getrandbits(bits)
+        while code.syndrome(noise ^ mask) == 0:
+            noise = rng.getrandbits(bits)
+        block[span] = noise.to_bytes(step, "little")
+    return bytes(block)
+
+
+_stream_blocks = st.one_of(
+    raw_blocks,
+    text_blocks(),
+    small_int_blocks(),
+    sparse_blocks(),
+    alias_boundary_blocks(),
+    _noisy_boundary_blocks(),
+)
+_op_streams = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.sampled_from(_WRITE_ADDRS), _stream_blocks),
+        st.tuples(st.just("read"), st.sampled_from(_READ_ADDRS), st.none()),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+def _observed(call, *args, **kwargs):
+    """An access's outcome minus the payload bytes (or ``"miss"``)."""
+    try:
+        result = call(*args, **kwargs)
+    except BlockNotWrittenError:
+        return "miss"
+    return dataclasses.replace(result, data=None)
+
+
+class TestContentModelDifferential:
+    """Real bytes through ``write`` / ``read`` against the same blocks'
+    classification through ``fast_write`` / ``fast_read``: every
+    observable effect other than the payload bytes must agree."""
+
+    @pytest.mark.parametrize("mode", list(ProtectionMode), ids=lambda m: m.value)
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_op_streams)
+    def test_models_agree(self, mode, ops):
+        real = ProtectedMemory(mode, obs=Observability.create())
+        oracle = ProtectedMemory(mode, obs=Observability.create())
+        real_events: list = []
+        oracle_events: list = []
+        capacity = _CLASSIFIER.config.capacity_bits
+        for op, addr, block in ops:
+            if op == "write":
+                got_real = _observed(real.write, addr, block, real_events)
+                got_oracle = _observed(
+                    oracle.fast_write,
+                    addr,
+                    _CLASSIFIER.compressor.compress(block, capacity) is not None,
+                    _CLASSIFIER.is_alias(block),
+                    content=lambda block=block: block,
+                    events=oracle_events,
+                )
+            else:
+                got_real = _observed(real.read, addr, real_events)
+                got_oracle = _observed(oracle.fast_read, addr, oracle_events)
+            assert got_real == got_oracle, (op, addr)
+        assert real.stats.as_dict() == oracle.stats.as_dict()
+        assert real.contents.keys() == oracle.contents.keys()
+        assert real.entry_of == oracle.entry_of
+        assert real.ever_incompressible == oracle.ever_incompressible
+        if mode is ProtectionMode.COP_ER:
+            assert sorted(real.region._entries) == sorted(oracle.region._entries)
+            assert real.region.peak_entries == oracle.region.peak_entries
+        assert real_events == oracle_events
