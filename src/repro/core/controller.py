@@ -29,11 +29,29 @@ can charge for them.  Modes:
     compression moves the embedded check bits inline for compressible
     blocks (no extra access), but space stays reserved for *all* blocks
     and explicit per-block compression-tracking metadata is required —
-    modelled here as the ``_memzip_compressed`` map, which is exactly the
-    bookkeeping COP's code-word detection eliminates.
+    modelled here as the ``_compressed`` set, which is exactly the
+    bookkeeping COP's code-word detection eliminates (COP's byte-level
+    ``read`` never consults it).
 ``ECC_DIMM``
     Conventional (72,64) SECDED with a ninth chip — the reliability
     reference point.
+
+Content models.  Each mode's bookkeeping (counters, ``contents`` keys,
+entry and region state, trace events, :class:`AccessResult` shapes) lives
+once, in one private write path and one private read path, reached
+through two pairs of entry points that differ only in each access's
+first step:
+
+* ``write`` / ``read`` take real bytes: the write classifies a block by
+  encoding it and stores the encoded image, its side-store parity and
+  its COP-ER entry payload; the read decodes and corrects that image.
+* ``fast_write`` / ``fast_read`` serve the simulator's classification
+  oracle (``repro.simulation.batch``): the write is handed the block's
+  classification (compressible / alias, plus a content thunk for COP-ER's
+  pointer de-aliasing), stores :data:`PLACEHOLDER` and computes no
+  payload; the read takes the compression status the write path
+  recorded.  On the fault-free path ``decode(encode(x)) == x``, so both
+  models agree on everything but the payload bytes.
 """
 
 from __future__ import annotations
@@ -56,15 +74,17 @@ __all__ = [
     "ControllerStats",
     "AccessResult",
     "ProtectedMemory",
+    "PLACEHOLDER",
 ]
 
 #: Data blocks whose ECC entries share one 64-byte ECC block in the
 #: ECC-Region baseline (2-byte entry per block "to facilitate addressing").
 _BASELINE_ENTRIES_PER_BLOCK = 32
 
-#: Shared stand-in image stored by the fast timing-model paths; the batch
-#: replay engine never reads payload bytes back, only contents *keys*.
-_PLACEHOLDER = bytes(BLOCK_BYTES)
+#: Stand-in image stored by the classification-oracle entry points, and
+#: the payload of every line the simulator never reads back (ECC metadata
+#: blocks, every line under the oracle).
+PLACEHOLDER = bytes(BLOCK_BYTES)
 
 
 class ProtectionMode(enum.Enum):
@@ -154,15 +174,13 @@ class AccessResult:
     ecc_writes: tuple[int, ...] = ()
 
 
-#: Shared outcomes for the fast timing-model paths.  ``AccessResult`` is
-#: frozen, so identical results can be one object — constructing a
-#: nine-field frozen dataclass per access is measurable in the batch
-#: replay.  Addr-dependent results (ECC tuples) are cached per instance.
+#: Shared write outcomes.  ``AccessResult`` is frozen, so identical results
+#: can be one object — constructing a nine-field frozen dataclass per
+#: access is measurable in the simulator.  Addr-dependent write results
+#: (ECC tuples) are cached per instance.
 _RESULT_WRITE_OK = AccessResult()
 _RESULT_WRITE_REJECTED = AccessResult(accepted=False)
 _RESULT_WRITE_COMPRESSED = AccessResult(compressed=True)
-_RESULT_READ_PLAIN = AccessResult(data=_PLACEHOLDER)
-_RESULT_READ_COP_RAW = AccessResult(data=_PLACEHOLDER, was_uncompressed=True)
 
 
 class ProtectedMemory:
@@ -206,8 +224,11 @@ class ProtectedMemory:
                 self.codec = MemoizedCodec(  # type: ignore[assignment]
                     self.codec, metrics=self.obs.metrics
                 )
-        #: MemZip's explicit compression-tracking metadata (per block).
-        self._memzip_compressed: set[int] = set()
+        #: Addresses whose resident image is stored compressed.  MemZip's
+        #: explicit per-block metadata, kept by both of its content models;
+        #: COP / COP-ER keep it only for placeholder images, where
+        #: ``fast_read`` has no bytes to count code words in.
+        self._compressed: set[int] = set()
         from repro.memory.address import AddressMapper
 
         self._mapper = AddressMapper()
@@ -224,20 +245,12 @@ class ProtectedMemory:
         self._dimm_code = code_72_64()
         #: Side store of check bits for the baseline / ECC-DIMM modes.
         self._parity: dict[int, int] = {}
-        #: Fast-path (``fast_write``/``fast_read``) stored-image kinds:
-        #: addr -> True when the resident image is stored compressed.
-        self._fast_kind: dict[int, bool] = {}
-        #: Memoised fast-path outcomes whose only varying field is the ECC
-        #: tuple.  Keyed by the ECC *block* address (for COP-ER that is the
-        #: entry block, which can differ between writes of the same data
-        #: address); the mode is fixed per instance, so shapes never mix.
-        self._fast_write_ecc: dict[int, AccessResult] = {}
-        self._fast_read_ecc: dict[int, AccessResult] = {}
-        self._fast_read_compressed = AccessResult(
-            data=_PLACEHOLDER,
-            compressed=True,
-            decompress_cycles=self.config.decompress_latency,
-        )
+        #: Payload-free outcomes, one object per shape (the mode is fixed
+        #: per instance): writes carrying an ECC tuple, keyed by the ECC
+        #: *block* address (for COP-ER the entry block, which can differ
+        #: between writes of the same data address), and every read
+        #: without bytes, keyed by ``(compressed, ECC block or None)``.
+        self._shared_results: dict[object, AccessResult] = {}
 
     # -- address helpers -----------------------------------------------------
 
@@ -274,6 +287,16 @@ class ProtectedMemory:
         last_col = self._mapper.geometry.blocks_per_row - 1
         return self._mapper.compose(location._replace(col=last_col))
 
+    def _ecc_addr(self, addr: int) -> int:
+        """ECC block holding a data block's whole-block check bits.
+
+        The ECC-Region baseline packs them into its region; the embedded
+        layouts (Embedded ECC, MemZip's raw blocks) at the row's end.
+        """
+        if self.mode is ProtectionMode.ECC_REGION:
+            return self.baseline_ecc_addr(addr)
+        return self.embedded_ecc_addr(addr)
+
     # -- write path ------------------------------------------------------------
 
     def write(
@@ -286,136 +309,156 @@ class ProtectedMemory:
         """
         if len(data) != BLOCK_BYTES:
             raise ValueError("block must be 64 bytes")
+        return self._write(addr, bytes(data), False, False, None, events)
+
+    def fast_write(
+        self,
+        addr: int,
+        compressible: bool,
+        alias: bool = False,
+        content: Optional[Callable[[], bytes]] = None,
+        events: Optional[list] = None,
+    ) -> AccessResult:
+        """:meth:`write` by classification, for the oracle content model.
+
+        ``compressible``/``alias`` are the block's content classification
+        (``compress(...) is not None`` / ``codec.is_alias``); ``content``
+        is a lazy thunk producing the raw 64 bytes, consulted only when
+        COP-ER allocates an entry (pointer de-aliasing is content
+        dependent).  Stores :data:`PLACEHOLDER`; ``events`` as in
+        :meth:`write`.
+        """
+        return self._write(addr, None, compressible, alias, content, events)
+
+    def _write(
+        self,
+        addr: int,
+        data: Optional[bytes],
+        compressible: bool,
+        alias: bool,
+        content: Optional[Callable[[], bytes]],
+        events: Optional[list],
+    ) -> AccessResult:
+        """Every mode's write bookkeeping, for both content models.
+
+        With ``data`` the block is classified by encoding it and every
+        payload is produced: the stored image, the ``_parity`` side store
+        and the COP-ER entry.  Without it (``data is None``) the given
+        classification stands and only the placeholder is stored.
+        """
         if addr % BLOCK_BYTES:
             raise ValueError("address must be block aligned")
-        self.stats.writes += 1
+        stats = self.stats
+        stats.writes += 1
+        mode = self.mode
+        codec = self.codec
+        stored = PLACEHOLDER if data is None else data
+        retired: tuple[int, ...] = ()
+        ecc_addr: Optional[int] = None
 
-        if self.mode is ProtectionMode.UNPROTECTED:
-            self.contents[addr] = bytes(data)
-            self.stats.raw_writes += 1
-            return AccessResult()
+        if codec is None:  # unprotected, ECC DIMM, ECC Region, Embedded ECC
+            compressible = False
+            if mode is not ProtectionMode.UNPROTECTED:
+                if data is not None:
+                    self._parity[addr] = self._check_bits(data)
+                if mode is not ProtectionMode.ECC_DIMM:
+                    ecc_addr = self._ecc_addr(addr)
+        else:
+            if data is not None:
+                encoded = codec.encode(data)
+                compressible = encoded.compressed
+                stored = encoded.stored
+            if compressible:
+                retired = self._retire_entry_if_any(addr)
+            else:
+                self.ever_incompressible.add(addr)
+                if mode is ProtectionMode.MEMZIP:
+                    # Space at the row end stays reserved either way
+                    # (MemZip is "only a performance optimization, and
+                    # space must still be reserved for ECC regardless of
+                    # compressibility").
+                    if data is not None:
+                        self._parity[addr] = self._check_bits(data)
+                    ecc_addr = self._ecc_addr(addr)
+                elif mode is ProtectionMode.COP:
+                    if data is not None:
+                        alias = codec.is_alias(data)
+                    if alias:
+                        return self._reject(addr, events)
+                else:
+                    # COP-ER: embed a pointer, park displaced data in the
+                    # region.
+                    entry = self._coper_entry(addr, data, content)
+                    if entry is None:
+                        return self._reject(addr, events)
+                    if data is not None:
+                        assert self.formatter is not None
+                        stored = self.formatter.update_entry(entry, data)
+                    ecc_addr = self.entry_block_addr(entry)
 
-        if self.mode is ProtectionMode.ECC_DIMM:
-            self.contents[addr] = bytes(data)
-            self._parity[addr] = self._dimm_parity(data)
-            self.stats.raw_writes += 1
-            return AccessResult()
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            self.contents[addr] = bytes(data)
-            word = self._wide_code.encode(bytes_to_int(data))
-            self._parity[addr] = self._wide_code.check_of(word)
-            self.stats.raw_writes += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
+        self.contents[addr] = stored
+        if codec is not None and (data is None or mode is ProtectionMode.MEMZIP):
+            # Record the status where no later read can recover it from
+            # the stored bytes: MemZip's explicit metadata, and every
+            # placeholder image.
+            if compressible:
+                self._compressed.add(addr)
+            else:
+                self._compressed.discard(addr)
+        if compressible:
+            stats.compressed_writes += 1
+            if retired:
+                return AccessResult(compressed=True, ecc_writes=retired)
+            return _RESULT_WRITE_COMPRESSED
+        stats.raw_writes += 1
+        if ecc_addr is None:
+            return _RESULT_WRITE_OK
+        stats.ecc_block_writes += 1
+        result = self._shared_results.get(ecc_addr)
+        if result is None:
+            # In the compressing modes an ECC write means a raw block.
+            result = AccessResult(
+                was_uncompressed=codec is not None, ecc_writes=(ecc_addr,)
             )
-            self.stats.ecc_block_writes += 1
-            return AccessResult(ecc_writes=(ecc_addr,))
+            self._shared_results[ecc_addr] = result
+        return result
 
-        if self.mode is ProtectionMode.MEMZIP:
-            return self._memzip_write(addr, data)
-
-        assert self.codec is not None
-        encoded = self.codec.encode(data)
-        if encoded.compressed:
-            result = self._retire_entry_if_any(addr)
-            self.contents[addr] = encoded.stored
-            self.stats.compressed_writes += 1
-            return AccessResult(compressed=True, ecc_writes=result)
-
-        # Incompressible block.
-        self.ever_incompressible.add(addr)
-        if self.mode is ProtectionMode.COP:
-            if self.codec.is_alias(data):
-                self.stats.alias_rejects += 1
-                self._emit("alias_reject", addr, events)
-                return AccessResult(accepted=False)
-            self.contents[addr] = bytes(data)
-            self.stats.raw_writes += 1
-            return AccessResult()
-
-        # COP-ER: embed a pointer and park displaced data in the region.
-        assert self.formatter is not None and self.region is not None
+    def _coper_entry(
+        self,
+        addr: int,
+        data: Optional[bytes],
+        content: Optional[Callable[[], bytes]],
+    ) -> Optional[int]:
+        """The COP-ER entry for an incompressible block: its existing one,
+        or a newly allocated de-aliasing one (None: refuse the block)."""
         entry = self.entry_of.get(addr)
         if entry is not None:
-            stored = self.formatter.update_entry(entry, data)
             self.stats.entry_reuses += 1
-        else:
-            placed = self.formatter.store_incompressible(data)
-            if placed is None or placed.aliased:
-                if placed is not None:
-                    self.region.free(placed.entry_index)
-                self.stats.alias_rejects += 1
-                self._emit("alias_reject", addr, events)
-                return AccessResult(accepted=False)
-            entry = placed.entry_index
-            stored = placed.stored
-            self.entry_of[addr] = entry
-            self.stats.entry_allocations += 1
-        self.contents[addr] = stored
-        self.stats.raw_writes += 1
-        self.stats.ecc_block_writes += 1
-        return AccessResult(
-            was_uncompressed=True, ecc_writes=(self.entry_block_addr(entry),)
-        )
+            return entry
+        assert self.formatter is not None and self.region is not None
+        if data is None:
+            if content is None:
+                raise ValueError(
+                    "COP-ER fast_write needs the block content to allocate "
+                    "a de-aliased entry"
+                )
+            data = content()
+        placed = self.formatter.allocate(data)
+        if placed is None:
+            return None
+        entry, aliased = placed
+        if aliased:
+            self.region.free(entry)
+            return None
+        self.entry_of[addr] = entry
+        self.stats.entry_allocations += 1
+        return entry
 
-    def _memzip_write(self, addr: int, data: bytes) -> AccessResult:
-        """MemZip write: inline ECC when compressible, embedded otherwise.
-
-        Space at the row end stays reserved either way (MemZip is "only a
-        performance optimization, and space must still be reserved for
-        ECC regardless of compressibility"), and the compression status
-        lands in explicit metadata rather than being inferred on read.
-        """
-        assert self.codec is not None
-        encoded = self.codec.encode(data)
-        self.contents[addr] = encoded.stored
-        if encoded.compressed:
-            self._memzip_compressed.add(addr)
-            self.stats.compressed_writes += 1
-            return AccessResult(compressed=True)
-        self._memzip_compressed.discard(addr)
-        self.ever_incompressible.add(addr)
-        word = self._wide_code.encode(bytes_to_int(data))
-        self._parity[addr] = self._wide_code.check_of(word)
-        self.stats.raw_writes += 1
-        self.stats.ecc_block_writes += 1
-        return AccessResult(
-            was_uncompressed=True, ecc_writes=(self.embedded_ecc_addr(addr),)
-        )
-
-    def _memzip_read(
-        self, addr: int, stored: bytes, events: Optional[list]
-    ) -> AccessResult:
-        assert self.codec is not None
-        latency = self.config.decompress_latency
-        if addr in self._memzip_compressed:
-            decoded = self.codec.decode(stored)
-            self.stats.compressed_reads += 1
-            corrected = decoded.corrected_words > 0
-            self._count_read(corrected, decoded.uncorrectable, addr, events)
-            return AccessResult(
-                data=decoded.data,
-                compressed=True,
-                corrected=corrected,
-                uncorrectable=decoded.uncorrectable,
-                decompress_cycles=latency,
-            )
-        word = bytes_to_int(stored) | (self._parity[addr] << self._wide_code.k)
-        result = self._wide_code.decode(word)
-        corrected = result.status is CodeStatus.CORRECTED
-        bad = result.status is CodeStatus.DETECTED
-        self._count_read(corrected, bad, addr, events)
-        self.stats.ecc_block_reads += 1
-        return AccessResult(
-            data=int_to_bytes(result.data, BLOCK_BYTES),
-            was_uncompressed=True,
-            corrected=corrected,
-            uncorrectable=bad,
-            ecc_reads=(self.embedded_ecc_addr(addr),),
-        )
+    def _reject(self, addr: int, events: Optional[list]) -> AccessResult:
+        """Refuse an incompressible alias (the LLC must pin the block)."""
+        self.stats.alias_rejects += 1
+        self._emit("alias_reject", addr, events)
+        return _RESULT_WRITE_REJECTED
 
     def _retire_entry_if_any(self, addr: int) -> tuple[int, ...]:
         """Free a stale COP-ER entry when a block becomes compressible."""
@@ -440,307 +483,112 @@ class ProtectedMemory:
         (a ``KeyError``) for a block that was never written, counting it
         in ``stats.read_misses``.
         """
-        if addr not in self.contents:
-            self.stats.read_misses += 1
-            raise BlockNotWrittenError(addr)
-        self.stats.reads += 1
-        stored = self.contents[addr]
-
-        if self.mode is ProtectionMode.UNPROTECTED:
-            return AccessResult(data=stored)
-
-        if self.mode is ProtectionMode.ECC_DIMM:
-            data, corrected, bad = self._dimm_correct(addr, stored)
-            self._count_read(corrected, bad, addr, events)
-            return AccessResult(data=data, corrected=corrected, uncorrectable=bad)
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            word = bytes_to_int(stored) | (
-                self._parity[addr] << self._wide_code.k
-            )
-            result = self._wide_code.decode(word)
-            corrected = result.status is CodeStatus.CORRECTED
-            bad = result.status is CodeStatus.DETECTED
-            self._count_read(corrected, bad, addr, events)
-            self.stats.ecc_block_reads += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
-            )
-            return AccessResult(
-                data=int_to_bytes(result.data, BLOCK_BYTES),
-                corrected=corrected,
-                uncorrectable=bad,
-                ecc_reads=(ecc_addr,),
-            )
-
-        if self.mode is ProtectionMode.MEMZIP:
-            return self._memzip_read(addr, stored, events)
-
-        assert self.codec is not None
-        decoded = self.codec.decode(stored)
-        latency = self.config.decompress_latency
-        if decoded.is_compressed:
-            self.stats.compressed_reads += 1
-            corrected = decoded.corrected_words > 0
-            self._count_read(corrected, decoded.uncorrectable, addr, events)
-            return AccessResult(
-                data=decoded.data,
-                compressed=True,
-                corrected=corrected,
-                uncorrectable=decoded.uncorrectable,
-                decompress_cycles=latency,
-            )
-
-        if self.mode is ProtectionMode.COP:
-            # Raw block: the decoder's classification already ran inside
-            # the normal read pipeline and the stored bytes pass to the
-            # cache untouched (docs/architecture.md, "Life of a read") —
-            # no decompression happens, so no decompress cycles are
-            # charged.  Only compressed blocks pay the +4 cycles.
-            return AccessResult(data=decoded.data, was_uncompressed=True)
-
-        # COP-ER raw block: chase the pointer and rebuild.  Unlike COP's
-        # raw passthrough this path does real decode work after the data
-        # arrives — extract the embedded pointer, whole-block (523,512)
-        # correction, displaced-bit reassembly — so it keeps charging the
-        # decode/decompress pipeline latency on top of the ECC-entry
-        # access (which is billed separately through ``ecc_reads``).
-        assert self.formatter is not None
-        loaded = self.formatter.load_incompressible(stored)
-        self._count_read(loaded.corrected, loaded.uncorrectable, addr, events)
-        self.stats.ecc_block_reads += 1
-        return AccessResult(
-            data=loaded.data,
-            was_uncompressed=True,
-            corrected=loaded.corrected,
-            uncorrectable=loaded.uncorrectable,
-            decompress_cycles=latency,
-            ecc_reads=(self.entry_block_addr(loaded.entry_index),),
-        )
-
-    # -- fast timing-model paths (oracle content model; docs/kernels.md) ----
-    #
-    # The simulator's classification-oracle content model never observes
-    # stored payload bits on the fault-free path: decode(encode(x)) == x,
-    # nothing is corrected, and only the *classification* of a block
-    # (compressible / alias) and the mode bookkeeping reach the stats, the
-    # trace events, and the timing model.  ``fast_write``/``fast_read``
-    # therefore mirror ``write``/``read`` exactly in every observable
-    # effect — counters, contents keys, entry/region state, trace events,
-    # AccessResult flags and ECC addresses — while skipping content
-    # generation, compression, and all parity arithmetic.  The parity suite
-    # (tests/test_batch_sim.py) and the golden digests
-    # (tests/test_sim_goldens.py) enforce the equivalence end to end.
-
-    def fast_write(
-        self,
-        addr: int,
-        compressible: bool,
-        alias: bool = False,
-        content: Optional[Callable[[], bytes]] = None,
-        events: Optional[list] = None,
-    ) -> AccessResult:
-        """Timing-model twin of :meth:`write`.
-
-        ``compressible``/``alias`` are the block's content classification
-        (``compress(...) is not None`` / ``codec.is_alias``); ``content``
-        is a lazy thunk producing the raw 64 bytes, consulted only when
-        COP-ER must run real entry allocation (pointer de-aliasing is
-        content-dependent).  ``events`` collects deferred trace events as
-        in :meth:`write`; ``None`` emits directly.
-        """
-        if addr % BLOCK_BYTES:
-            raise ValueError("address must be block aligned")
-        self.stats.writes += 1
-
-        if self.mode is ProtectionMode.UNPROTECTED:
-            self.contents[addr] = _PLACEHOLDER
-            self.stats.raw_writes += 1
-            return _RESULT_WRITE_OK
-
-        if self.mode is ProtectionMode.ECC_DIMM:
-            self.contents[addr] = _PLACEHOLDER
-            self.stats.raw_writes += 1
-            return _RESULT_WRITE_OK
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            self.contents[addr] = _PLACEHOLDER
-            self.stats.raw_writes += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
-            )
-            self.stats.ecc_block_writes += 1
-            cached = self._fast_write_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(ecc_writes=(ecc_addr,))
-                self._fast_write_ecc[ecc_addr] = cached
-            return cached
-
-        if self.mode is ProtectionMode.MEMZIP:
-            self.contents[addr] = _PLACEHOLDER
-            if compressible:
-                self._memzip_compressed.add(addr)
-                self.stats.compressed_writes += 1
-                return _RESULT_WRITE_COMPRESSED
-            self._memzip_compressed.discard(addr)
-            self.ever_incompressible.add(addr)
-            self.stats.raw_writes += 1
-            self.stats.ecc_block_writes += 1
-            ecc_addr = self.embedded_ecc_addr(addr)
-            cached = self._fast_write_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(
-                    was_uncompressed=True, ecc_writes=(ecc_addr,)
-                )
-                self._fast_write_ecc[ecc_addr] = cached
-            return cached
-
-        if compressible:
-            result = self._retire_entry_if_any(addr)
-            self.contents[addr] = _PLACEHOLDER
-            self._fast_kind[addr] = True
-            self.stats.compressed_writes += 1
-            if result:
-                return AccessResult(compressed=True, ecc_writes=result)
-            return _RESULT_WRITE_COMPRESSED
-
-        # Incompressible block.
-        self.ever_incompressible.add(addr)
-        if self.mode is ProtectionMode.COP:
-            if alias:
-                self.stats.alias_rejects += 1
-                self._emit("alias_reject", addr, events)
-                return _RESULT_WRITE_REJECTED
-            self.contents[addr] = _PLACEHOLDER
-            self._fast_kind[addr] = False
-            self.stats.raw_writes += 1
-            return _RESULT_WRITE_OK
-
-        # COP-ER: allocation (and its de-aliasing skips) is content
-        # dependent, so run the *real* allocator against the real bytes —
-        # only the displaced-bit gather / (523,512) parity / entry payload
-        # store are skipped (entries keep allocate()'s (0, 0) payload,
-        # which nothing on the fault-free path reads back).
-        assert self.formatter is not None and self.region is not None
-        entry = self.entry_of.get(addr)
-        if entry is not None:
-            self.stats.entry_reuses += 1
-        else:
-            if content is None:
-                raise ValueError(
-                    "COP-ER fast_write needs the block content to allocate "
-                    "a de-aliased entry"
-                )
-            block = content()
-            formatter = self.formatter
-
-            def acceptable(index: int) -> bool:
-                return not formatter.codec.is_alias(
-                    formatter.embed_pointer(block, index)
-                )
-
-            aliased = False
-            entry = self.region.allocate(acceptable)
-            if entry is None:
-                entry = self.region.allocate()  # accept an aliasing pointer
-                aliased = entry is not None
-            if entry is None or aliased:
-                if entry is not None:
-                    self.region.free(entry)
-                self.stats.alias_rejects += 1
-                self._emit("alias_reject", addr, events)
-                return _RESULT_WRITE_REJECTED
-            self.entry_of[addr] = entry
-            self.stats.entry_allocations += 1
-        self.contents[addr] = _PLACEHOLDER
-        self._fast_kind[addr] = False
-        self.stats.raw_writes += 1
-        self.stats.ecc_block_writes += 1
-        ecc_addr = self.entry_block_addr(entry)
-        cached = self._fast_write_ecc.get(ecc_addr)
-        if cached is None:
-            cached = AccessResult(
-                was_uncompressed=True, ecc_writes=(ecc_addr,)
-            )
-            self._fast_write_ecc[ecc_addr] = cached
-        return cached
+        return self._read(addr, True, events)
 
     def fast_read(self, addr: int, events: Optional[list] = None) -> AccessResult:
-        """Timing-model twin of :meth:`read` (fault-free, content-free).
+        """:meth:`read` by classification, for the oracle content model.
 
-        Classification comes from the kind table maintained by
-        :meth:`fast_write` rather than from decoding stored bytes; on the
-        fault-free path the two always agree (compressed images decode
-        compressed, raw images were de-aliased before storing).  Nothing
-        is ever corrected, so ``events`` (taken for :meth:`read`'s
-        signature) never receives anything.
+        The compression status is the one the write path recorded rather
+        than a decode of the stored image; on the fault-free path the two
+        always agree (compressed images decode compressed, raw images were
+        de-aliased before storing).  Nothing is ever corrected, so
+        ``events`` never receives anything.
         """
-        if addr not in self.contents:
-            self.stats.read_misses += 1
+        return self._read(addr, False, events)
+
+    def _read(self, addr: int, decode: bool, events: Optional[list]) -> AccessResult:
+        """Every mode's read bookkeeping, for both content models.
+
+        With ``decode`` the stored image is decoded and corrected; without
+        it the stored placeholder is the data and nothing is corrected.
+        """
+        stored = self.contents.get(addr)
+        stats = self.stats
+        if stored is None:
+            stats.read_misses += 1
             raise BlockNotWrittenError(addr)
-        self.stats.reads += 1
+        stats.reads += 1
+        mode = self.mode
+        codec = self.codec
+        data, corrected, bad = stored, False, False
+        compressed = False
+        latency = 0
+        ecc_addr: Optional[int] = None
 
-        if self.mode is ProtectionMode.UNPROTECTED:
-            return _RESULT_READ_PLAIN
+        if codec is None:  # unprotected, ECC DIMM, ECC Region, Embedded ECC
+            if mode is not ProtectionMode.UNPROTECTED:
+                if decode:
+                    data, corrected, bad = self._correct(addr, stored)
+                if mode is not ProtectionMode.ECC_DIMM:
+                    ecc_addr = self._ecc_addr(addr)
+        else:
+            decoded = None
+            if decode and mode is not ProtectionMode.MEMZIP:
+                # COP keeps no metadata: the valid code words in the stored
+                # bytes say whether the block is compressed.
+                decoded = codec.decode(stored)
+                compressed = decoded.is_compressed
+            else:
+                compressed = addr in self._compressed
+            if compressed:
+                if decode:
+                    if decoded is None:
+                        decoded = codec.decode(stored)
+                    data = decoded.data
+                    corrected = decoded.corrected_words > 0
+                    bad = decoded.uncorrectable
+                latency = self.config.decompress_latency
+                stats.compressed_reads += 1
+            elif mode is ProtectionMode.MEMZIP:
+                if decode:
+                    data, corrected, bad = self._correct(addr, stored)
+                ecc_addr = self._ecc_addr(addr)
+            elif mode is ProtectionMode.COP_ER:
+                # Raw block: chase the pointer and rebuild.  Unlike COP's
+                # raw passthrough this path does real decode work after
+                # the data arrives — extract the embedded pointer,
+                # whole-block (523,512) correction, displaced-bit
+                # reassembly — so it keeps charging the decode/decompress
+                # pipeline latency on top of the ECC-entry access (billed
+                # separately through ``ecc_reads``).  Without bytes, the
+                # pointer is the entry the write path recorded.
+                if decode:
+                    assert self.formatter is not None
+                    loaded = self.formatter.load_incompressible(stored)
+                    data = loaded.data
+                    corrected = loaded.corrected
+                    bad = loaded.uncorrectable
+                    entry = loaded.entry_index
+                else:
+                    entry = self.entry_of[addr]
+                ecc_addr = self.entry_block_addr(entry)
+                latency = self.config.decompress_latency
+            # A raw COP block: the decoder's classification already ran
+            # inside the normal read pipeline and the stored bytes pass to
+            # the cache untouched (docs/architecture.md, "Life of a read")
+            # — no decompression happens, so no decompress cycles are
+            # charged.  Only compressed blocks pay the +4 cycles.
 
-        if self.mode is ProtectionMode.ECC_DIMM:
-            return _RESULT_READ_PLAIN
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            self.stats.ecc_block_reads += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
+        self._count_read(corrected, bad, addr, events)
+        if ecc_addr is not None:
+            stats.ecc_block_reads += 1
+        # Without bytes every outcome is fault-free and carries the
+        # placeholder, so the mode and these two fields determine it.
+        key = None if decode else (compressed, ecc_addr)
+        result = self._shared_results.get(key)
+        if result is None:
+            result = AccessResult(
+                data=data,
+                compressed=compressed,
+                was_uncompressed=codec is not None and not compressed,
+                corrected=corrected,
+                uncorrectable=bad,
+                decompress_cycles=latency,
+                ecc_reads=() if ecc_addr is None else (ecc_addr,),
             )
-            cached = self._fast_read_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(
-                    data=_PLACEHOLDER, ecc_reads=(ecc_addr,)
-                )
-                self._fast_read_ecc[ecc_addr] = cached
-            return cached
-
-        if self.mode is ProtectionMode.MEMZIP:
-            if addr in self._memzip_compressed:
-                self.stats.compressed_reads += 1
-                return self._fast_read_compressed
-            self.stats.ecc_block_reads += 1
-            ecc_addr = self.embedded_ecc_addr(addr)
-            cached = self._fast_read_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(
-                    data=_PLACEHOLDER,
-                    was_uncompressed=True,
-                    ecc_reads=(ecc_addr,),
-                )
-                self._fast_read_ecc[ecc_addr] = cached
-            return cached
-
-        if self._fast_kind[addr]:
-            self.stats.compressed_reads += 1
-            return self._fast_read_compressed
-
-        if self.mode is ProtectionMode.COP:
-            return _RESULT_READ_COP_RAW
-
-        # COP-ER raw block: the embedded pointer names this block's entry.
-        self.stats.ecc_block_reads += 1
-        ecc_addr = self.entry_block_addr(self.entry_of[addr])
-        cached = self._fast_read_ecc.get(ecc_addr)
-        if cached is None:
-            cached = AccessResult(
-                data=_PLACEHOLDER,
-                was_uncompressed=True,
-                decompress_cycles=self.config.decompress_latency,
-                ecc_reads=(ecc_addr,),
-            )
-            self._fast_read_ecc[ecc_addr] = cached
-        return cached
+            if key is not None:
+                self._shared_results[key] = result
+        return result
 
     def _emit(self, kind: str, addr: Optional[int], events: Optional[list]) -> None:
         if not self.obs.enabled:
@@ -785,19 +633,31 @@ class ProtectedMemory:
             registry.set_gauge("ecc_region.live_bytes", self.region.live_bytes)
             registry.set_gauge("ecc_region.peak_bytes", self.region.peak_bytes)
 
-    # -- ECC-DIMM helpers -----------------------------------------------------
+    # -- side-store check bits ---------------------------------------------------
 
-    def _dimm_parity(self, data: bytes) -> int:
+    def _check_bits(self, data: bytes) -> int:
+        """Side-store check bits: eight (72,64) bytes for the ECC DIMM, one
+        (523,512) word for the ECC-Region / embedded layouts."""
+        if self.mode is not ProtectionMode.ECC_DIMM:
+            return self._wide_code.check_of(self._wide_code.encode(bytes_to_int(data)))
         parity = 0
         for i in range(0, BLOCK_BYTES, 8):
             word = self._dimm_code.encode(bytes_to_int(data[i : i + 8]))
             parity |= self._dimm_code.check_of(word) << i  # 8 bits per word
         return parity
 
-    def _dimm_correct(
-        self, addr: int, stored: bytes
-    ) -> tuple[bytes, bool, bool]:
+    def _correct(self, addr: int, stored: bytes) -> tuple[bytes, bool, bool]:
+        """``(data, corrected, uncorrectable)`` of a side-store-protected block."""
         parity = self._parity[addr]
+        if self.mode is not ProtectionMode.ECC_DIMM:
+            result = self._wide_code.decode(
+                bytes_to_int(stored) | (parity << self._wide_code.k)
+            )
+            return (
+                int_to_bytes(result.data, BLOCK_BYTES),
+                result.status is CodeStatus.CORRECTED,
+                result.status is CodeStatus.DETECTED,
+            )
         out = bytearray()
         corrected = False
         bad = False

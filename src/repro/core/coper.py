@@ -326,33 +326,39 @@ class CoperBlockFormat:
 
     # -- store / load ----------------------------------------------------------
 
-    def store_incompressible(self, block: bytes) -> Optional[StoredIncompressible]:
-        """Allocate an entry, displace data, embed the pointer.
+    def allocate(self, block: bytes) -> Optional[tuple[int, bool]]:
+        """Claim an entry whose pointer de-aliases ``block``.
 
-        Returns None when the region is exhausted.  ``aliased`` is True in
-        the vanishingly rare case where every candidate pointer leaves the
-        block an alias (the controller must then pin it in the LLC).
+        Returns ``(entry_index, aliased)``, or None when the region is
+        exhausted.  ``aliased`` is True in the vanishingly rare case where
+        every candidate pointer leaves the block an alias; the aliasing
+        entry is then claimed anyway and the caller decides (the
+        controller frees it and pins the block in the LLC).  The entry
+        keeps an empty payload until :meth:`update_entry` fills it.
         """
-        if len(block) != BLOCK_BYTES:
-            raise ValueError("block must be 64 bytes")
-        block_int = bytes_to_int(block)
 
         def acceptable(index: int) -> bool:
             return not self.codec.is_alias(self.embed_pointer(block, index))
 
-        aliased = False
         index = self.region.allocate(acceptable)
-        if index is None:
-            index = self.region.allocate()  # accept an aliasing pointer
-            if index is None:
-                return None
-            aliased = True
-        displaced = self._gather(block_int)
-        parity = self.block_code.check_of(self.block_code.encode(block_int))
-        self.region.store(index, displaced, parity)
-        return StoredIncompressible(
-            self.embed_pointer(block, index), index, aliased
-        )
+        if index is not None:
+            return index, False
+        index = self.region.allocate()  # accept an aliasing pointer
+        return None if index is None else (index, True)
+
+    def store_incompressible(self, block: bytes) -> Optional[StoredIncompressible]:
+        """Allocate an entry, displace data, embed the pointer.
+
+        :meth:`allocate` followed by :meth:`update_entry`; returns None
+        when the region is exhausted.
+        """
+        if len(block) != BLOCK_BYTES:
+            raise ValueError("block must be 64 bytes")
+        placed = self.allocate(block)
+        if placed is None:
+            return None
+        index, aliased = placed
+        return StoredIncompressible(self.update_entry(index, block), index, aliased)
 
     def update_entry(self, entry_index: int, block: bytes) -> bytes:
         """Reuse an existing entry for new (still incompressible) data."""

@@ -6,8 +6,9 @@ contents and asks a :class:`ContentOracle` instead.  On the fault-free
 path ``decode(encode(x)) == x``: stored payload bits never reach an
 observable output, only a block's *classification* (compressible /
 alias) and the mode bookkeeping do.  So the oracle hands the
-classification to the controller's ``fast_write`` timing twin, and LLC
-lines hold a placeholder.  The real-bytes model
+classification to the controller's ``fast_write`` entry point — the same
+write path as ``write``, minus the payload — and LLC lines hold a
+placeholder.  The real-bytes model
 (:class:`~repro.simulation.system.RealContent`) stays the reference: the
 two agree on every result, stat and trace event (``tests/test_batch_sim.py``,
 ``tests/test_sim_goldens.py``, ``make sim-parity-smoke``).

@@ -42,8 +42,9 @@ Content models
     * the classification oracle (``True``):
       :class:`~repro.simulation.batch.ContentOracle` classifies contents
       (compressible / alias) without keeping them, the controller's
-      ``fast_write`` / ``fast_read`` apply only the mode bookkeeping, and
-      LLC lines hold a placeholder.  On the fault-free path
+      ``fast_write`` / ``fast_read`` run its one write / read path on that
+      classification without producing payloads, and LLC lines hold
+      :data:`~repro.core.controller.PLACEHOLDER`.  On the fault-free path
       ``decode(encode(x)) == x``, so both models produce identical
       results, stats and trace events (``tests/test_batch_sim.py``,
       ``tests/test_sim_goldens.py``, ``make sim-parity-smoke``).
@@ -58,7 +59,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cache.cache import SetAssocCache
-from repro.core.controller import AccessResult, ProtectedMemory, ProtectionMode
+from repro.core.controller import (
+    PLACEHOLDER,
+    AccessResult,
+    ProtectedMemory,
+    ProtectionMode,
+)
 from repro.reliability.parma import VulnerabilityTracker
 from repro.simulation.config import SystemConfig
 from repro.workloads.blocks import BlockSource
@@ -68,10 +74,6 @@ if TYPE_CHECKING:
     from repro.simulation.batch import ContentOracle
 
 __all__ = ["CoreResult", "PerfResult", "MultiCoreSystem", "RealContent"]
-
-#: Stand-in payload of cached ECC metadata blocks (and, under the oracle
-#: content model, of every line): nothing reads those bytes back.
-_PLACEHOLDER = bytes(64)
 
 
 @dataclass
@@ -356,7 +358,7 @@ class MultiCoreSystem:
             if llc.lookup(ecc_addr) is None:
                 ecc_idxs.append(len(requests))
                 requests.append((ecc_addr, False))
-                eviction = llc.insert(ecc_addr, _PLACEHOLDER)
+                eviction = llc.insert(ecc_addr, PLACEHOLDER)
                 if eviction is not None:
                     self._handle_eviction(core_index, eviction, wave)
 

@@ -159,24 +159,22 @@ class TestBdiWrapAndLimits:
 class TestCoperForcedFallbacks:
     def test_aliased_placement_rejected_by_controller(self, monkeypatch):
         """If no pointer choice can de-alias a block, the controller must
-        refuse the write (the block stays LLC-pinned)."""
-        from repro.core import coper as coper_mod
-
-        memory = ProtectedMemory(ProtectionMode.COP_ER)
-
-        def always_aliased(self, block):
-            index = self.region.allocate()
-            from repro.core.coper import StoredIncompressible
-
-            return StoredIncompressible(bytes(64), index, aliased=True)
-
-        monkeypatch.setattr(
-            coper_mod.CoperBlockFormat, "store_incompressible", always_aliased
-        )
-        result = memory.write(0, random.Random(0).randbytes(64))
-        assert not result.accepted
-        assert memory.stats.alias_rejects == 1
-        assert len(memory.region) == 0  # the entry was released
+        refuse the write (the block stays LLC-pinned) — through both the
+        real-bytes and the classification-only entry point."""
+        block = random.Random(0).randbytes(64)
+        for entry_point in ("write", "fast_write"):
+            memory = ProtectedMemory(ProtectionMode.COP_ER)
+            # Every candidate pointer leaves the block an alias.
+            monkeypatch.setattr(
+                memory.formatter.codec, "is_alias", lambda image: True
+            )
+            if entry_point == "write":
+                result = memory.write(0, block)
+            else:
+                result = memory.fast_write(0, False, content=lambda: block)
+            assert not result.accepted, entry_point
+            assert memory.stats.alias_rejects == 1, entry_point
+            assert len(memory.region) == 0, entry_point  # the entry was released
 
     def test_region_exhaustion_rejects_write(self):
         memory = ProtectedMemory(ProtectionMode.COP_ER)

@@ -91,17 +91,18 @@ class TestMemzip:
     def test_explicit_metadata_is_the_point(self, text_block, noise):
         """MemZip tracks compression status in metadata; COP infers it.
 
-        The `_memzip_compressed` set is the dedicated storage the paper's
-        COP avoids ("dedicated compression metadata is not required").
+        The `_compressed` set is the dedicated storage the paper's COP
+        avoids ("dedicated compression metadata is not required"); COP's
+        byte-level `read` never consults it.
         """
         memory = ProtectedMemory(ProtectionMode.MEMZIP)
         memory.write(0, text_block)
         memory.write(64, noise)
-        assert 0 in memory._memzip_compressed
-        assert 64 not in memory._memzip_compressed
+        assert 0 in memory._compressed
+        assert 64 not in memory._compressed
         # Status flips when data changes compressibility.
         memory.write(0, noise)
-        assert 0 not in memory._memzip_compressed
+        assert 0 not in memory._compressed
 
     def test_storage_reserved_regardless(self, rng):
         """MemZip keeps the full ECC reservation even when everything
